@@ -71,6 +71,8 @@ def _run_method(sequent, mode, method, cap):
 
 
 def cmd_prove(args) -> int:
+    if args.cap < 0:
+        raise ValueError(f"--cap must be non-negative, got {args.cap}")
     sequent = parse_sequent(args.sequent)
     methods = ["tableau", "brute", "skeleton"] if args.method == "all" else [args.method]
     verdicts = {}
@@ -288,6 +290,9 @@ def main(argv=None) -> int:
     except (ParseError, CapacityError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

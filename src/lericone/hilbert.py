@@ -78,6 +78,8 @@ class HilbertProof:
         if self.logic not in ("BM", "B"):
             raise ValueError(f"unknown logic {self.logic!r}")
         object.__setattr__(self, "lines", tuple(self.lines))
+        if not self.lines:
+            raise ValueError("a proof needs at least one line")
 
 
 def conclusion(pr: HilbertProof) -> Formula:

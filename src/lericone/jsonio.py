@@ -11,6 +11,8 @@ tree with closure witnesses at the leaves.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from .formula import parse, render
 from .hilbert import AxiomRef, HilbertProof, ProofLine, RuleRef, match_axiom
 from .relevance import SharingWitness
@@ -26,6 +28,17 @@ __all__ = [
 ]
 
 
+@contextmanager
+def _decoding(what: str):
+    """Report a document of the wrong shape as a ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"malformed {what}: missing field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+
+
 def substitution_to_json(s: LericoneSubstitution) -> dict:
     if s.keying == "plain":
         entries = [{"atom": atom, "image": render(image)}
@@ -39,13 +52,14 @@ def substitution_to_json(s: LericoneSubstitution) -> dict:
 def substitution_from_json(data) -> LericoneSubstitution:
     if isinstance(data, list):  # bare entry list: raw keying
         data = {"keying": "raw", "entries": data}
-    keying = data.get("keying", "raw")
-    if keying == "plain":
-        table = {int(e["atom"]): parse(e["image"]) for e in data["entries"]}
-        return LericoneSubstitution.plain(table)
-    table = {(e.get("seq", ""), int(e["atom"])): parse(e["image"])
-             for e in data["entries"]}
-    return LericoneSubstitution(table, keying=keying)
+    with _decoding("substitution table"):
+        keying = data.get("keying", "raw")
+        if keying == "plain":
+            table = {int(e["atom"]): parse(e["image"]) for e in data["entries"]}
+            return LericoneSubstitution.plain(table)
+        table = {(e.get("seq", ""), int(e["atom"])): parse(e["image"])
+                 for e in data["entries"]}
+        return LericoneSubstitution(table, keying=keying)
 
 
 def assignment_to_json(f: Assignment) -> dict:
@@ -60,13 +74,14 @@ def assignment_to_json(f: Assignment) -> dict:
 
 
 def assignment_from_json(data) -> Assignment:
-    keying = data.get("keying", "faithful" if data.get("faithful") else "raw")
-    if keying == "plain":
-        table = {int(e["atom"]): int(e["value"]) for e in data["entries"]}
-    else:
-        table = {(e.get("seq", ""), int(e["atom"])): int(e["value"])
-                 for e in data["entries"]}
-    return Assignment(table, default=int(data.get("default", 0)), keying=keying)
+    with _decoding("assignment"):
+        keying = data.get("keying", "faithful" if data.get("faithful") else "raw")
+        if keying == "plain":
+            table = {int(e["atom"]): int(e["value"]) for e in data["entries"]}
+        else:
+            table = {(e.get("seq", ""), int(e["atom"])): int(e["value"])
+                     for e in data["entries"]}
+        return Assignment(table, default=int(data.get("default", 0)), keying=keying)
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -105,14 +120,19 @@ def proof_to_json(pr: HilbertProof) -> dict:
 
 def proof_from_json(data) -> HilbertProof:
     lines = []
-    for entry in data["lines"]:
-        just = entry["just"]
-        if "axiom" in just:
-            ref = AxiomRef(just["axiom"])
-        else:
-            ref = RuleRef(just["rule"], tuple(i - 1 for i in just["from"]))
-        lines.append(ProofLine(parse(entry["formula"]), ref))
-    return HilbertProof(data["logic"], tuple(lines))
+    with _decoding("proof"):
+        for entry in data["lines"]:
+            just = entry["just"]
+            if "axiom" in just:
+                ref = AxiomRef(just["axiom"])
+            else:
+                refs = just["from"]
+                if not all(type(i) is int for i in refs):
+                    raise ValueError(f"premise references must be line numbers: "
+                                     f"{refs!r}")
+                ref = RuleRef(just["rule"], tuple(i - 1 for i in refs))
+            lines.append(ProofLine(parse(entry["formula"]), ref))
+        return HilbertProof(data["logic"], tuple(lines))
 
 
 def _triple_to_json(t: Triple) -> dict:

@@ -14,16 +14,23 @@ the conclusion false.
 Three deciders are provided: exhaustive enumeration over the sequent's
 finite key domain (``brute_consequence``), classical truth tables
 (``classical_valid``), and reduction to the classical check through a
-skeleton with countermodel pull-back (``decide``).
+skeleton with countermodel pull-back (``decide``).  Brute force and the
+classical check run one kernel, ``_first_falsifier``, which evaluates every
+row at once on packed truth columns; they differ only in the keys it
+enumerates.  Both therefore share the enumeration cap, and so does the
+skeleton method, which enumerates the skeleton's atoms.  The scalar
+``evaluate`` shares only the traversal with the kernel, so countermodel
+checks stay an independent cross-check of the deciders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, or_
 from typing import Mapping, Optional
 
-from .formula import And, Atom, Formula, Neg, Or, Sequent
-from .seq import faithful_key, validate_seq
+from .formula import Atom, Formula, Neg, Sequent
+from .seq import faithful_key, fold, keyed_table
 from .substitution import skeletonize
 
 __all__ = [
@@ -34,7 +41,8 @@ __all__ = [
 
 
 class CapacityError(Exception):
-    """Enumeration domain too large; the skeleton method has no such limit."""
+    """Enumeration domain above the cap; brute force and the skeleton
+    method share the cap, the tableau has none."""
 
 
 @dataclass(frozen=True)
@@ -46,22 +54,10 @@ class Assignment:
     keying: str = "raw"  # "raw" | "faithful" | "plain"
 
     def __post_init__(self) -> None:
-        if self.keying not in ("raw", "faithful", "plain"):
-            raise ValueError(f"unknown keying {self.keying!r}")
         if self.default not in (0, 1):
             raise ValueError("default must be a bit")
-        if self.keying == "plain":
-            table = dict(self.entries)
-        else:
-            table = {}
-            for (seq, atom), bit in self.entries.items():
-                validate_seq(seq)
-                key = (faithful_key(seq), atom) if self.keying == "faithful" else (seq, atom)
-                if table.get(key, bit) != bit:
-                    raise ValueError(
-                        f"conflicting bits on equivalent keys at {key}")
-                table[key] = bit
-        object.__setattr__(self, "entries", table)
+        object.__setattr__(self, "entries",
+                           keyed_table(self.entries, self.keying, "bits"))
 
     @property
     def is_faithful(self) -> bool:
@@ -86,33 +82,19 @@ class Verdict:
         return self.status == "valid"
 
 
+def _imp_bit(x: int, y: int) -> int:
+    return max(1 - x, y)
+
+
 def evaluate(f: Assignment, seq: str, a: Formula) -> int:
     """Bit value of ``a`` at sequence ``seq`` under assignment ``f``."""
-    if isinstance(a, Atom):
-        return f.lookup(seq, a.index)
-    if isinstance(a, Neg):
-        return 1 - evaluate(f, "n" + seq, a.child)
-    if isinstance(a, And):
-        return min(evaluate(f, seq, a.left), evaluate(f, seq, a.right))
-    if isinstance(a, Or):
-        return max(evaluate(f, seq, a.left), evaluate(f, seq, a.right))
-    if seq == "":
-        return max(1 - evaluate(f, "c", a.left), evaluate(f, "c", a.right))
-    return max(1 - evaluate(f, "l" + seq, a.left),
-               evaluate(f, "r" + seq, a.right))
+    return fold(a, seq, f.lookup, (1).__sub__, min, max, _imp_bit)
 
 
 def domain_keys(a: Formula, seq: str = "") -> set:
     """Every (sequence, atom) key consulted when evaluating ``a`` from ``seq``."""
-    if isinstance(a, Atom):
-        return {(seq, a.index)}
-    if isinstance(a, Neg):
-        return domain_keys(a.child, "n" + seq)
-    if isinstance(a, (And, Or)):
-        return domain_keys(a.left, seq) | domain_keys(a.right, seq)
-    if seq == "":
-        return domain_keys(a.left, "c") | domain_keys(a.right, "c")
-    return domain_keys(a.left, "l" + seq) | domain_keys(a.right, "r" + seq)
+    return fold(a, seq, lambda x, atom: {(x, atom)}, lambda keys: keys,
+                or_, or_, or_)
 
 
 def relevant_domain(s: Sequent) -> set:
@@ -147,56 +129,36 @@ def _column_masks(width: int) -> tuple:
     return columns, full
 
 
-def _mask_eval(f: Formula, seq: str, column_of, full: int) -> int:
-    """Evaluate over every enumerated row at once; ``column_of`` maps a
-    consulted (sequence, atom) key to its truth column."""
-    if isinstance(f, Atom):
-        return column_of(seq, f.index)
-    if isinstance(f, Neg):
-        return full ^ _mask_eval(f.child, "n" + seq, column_of, full)
-    if isinstance(f, And):
-        return (_mask_eval(f.left, seq, column_of, full)
-                & _mask_eval(f.right, seq, column_of, full))
-    if isinstance(f, Or):
-        return (_mask_eval(f.left, seq, column_of, full)
-                | _mask_eval(f.right, seq, column_of, full))
-    if seq == "":
-        return ((full ^ _mask_eval(f.left, "c", column_of, full))
-                | _mask_eval(f.right, "c", column_of, full))
-    return ((full ^ _mask_eval(f.left, "l" + seq, column_of, full))
-            | _mask_eval(f.right, "r" + seq, column_of, full))
+def _first_falsifier(s: Sequent, keys: list, column, cap: int) -> Optional[dict]:
+    """Lexicographically first falsifying row over the sorted ``keys``, as
+    a key -> bit table, or None when no row falsifies ``s``.
 
-
-def _first_falsifier(s: Sequent, keys: list, keying: str,
-                     cap: int) -> Optional[Assignment]:
-    """Lexicographically first falsifier over bit vectors on sorted keys.
-
-    The first key is the most significant bit of the row index and rows
-    run in binary counting order, so the reported countermodel is
-    schedule-independent.  All rows are evaluated at once on packed
-    truth columns.
+    ``column(seq, atom)`` names the key an atom occurrence at ``seq``
+    reads.  The first key is the most significant bit of the row index and
+    rows run in binary counting order, so the reported row is
+    schedule-independent.  All rows are evaluated at once on packed truth
+    columns.
     """
     if len(keys) > cap:
         raise CapacityError(
-            f"{len(keys)} keys exceed the enumeration cap of {cap}; "
-            "use the skeleton method")
+            f"{len(keys)} keys exceed the enumeration cap of {cap}, which "
+            "brute force and the skeleton method share; raise --cap or use "
+            "the tableau")
     width = len(keys)
     columns, full = _column_masks(width)
-    table = {key: columns[i] for i, key in enumerate(keys)}
-    normalize = faithful_key if keying == "faithful" else (lambda seq: seq)
+    table = dict(zip(keys, columns))
 
-    def column_of(seq: str, atom: int) -> int:
-        return table[(normalize(seq), atom)]
+    def leaf(seq: str, atom: int) -> int:
+        return table[column(seq, atom)]
 
-    falsified = full
+    ops = (full.__xor__, and_, or_, lambda x, y: (full ^ x) | y)
+    falsified = full ^ fold(s.conclusion, "", leaf, *ops)
     for premise in s.premises:
-        falsified &= _mask_eval(premise, "", column_of, full)
-    falsified &= full ^ _mask_eval(s.conclusion, "", column_of, full)
+        falsified &= fold(premise, "", leaf, *ops)
     if falsified == 0:
         return None
     row = (falsified & -falsified).bit_length() - 1
-    entries = {keys[i]: (row >> (width - 1 - i)) & 1 for i in range(width)}
-    return Assignment(entries, default=0, keying=keying)
+    return {keys[i]: (row >> (width - 1 - i)) & 1 for i in range(width)}
 
 
 def brute_consequence(s: Sequent, mode: str = "plain", cap: int = 24) -> Verdict:
@@ -207,39 +169,34 @@ def brute_consequence(s: Sequent, mode: str = "plain", cap: int = 24) -> Verdict
     """
     if mode not in ("plain", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "faithful":
-        keys = sorted({(faithful_key(seq), atom)
-                       for seq, atom in relevant_domain(s)})
-        counter = _first_falsifier(s, keys, "faithful", cap)
-    else:
-        keys = sorted(relevant_domain(s))
-        counter = _first_falsifier(s, keys, "raw", cap)
-    if counter is None:
+    column = _faithful_column if mode == "faithful" else _raw_column
+    keys = sorted({column(seq, atom) for seq, atom in relevant_domain(s)})
+    row = _first_falsifier(s, keys, column, cap)
+    if row is None:
         return Verdict("valid", None, "brute")
-    return Verdict("invalid", counter, "brute")
+    keying = "faithful" if mode == "faithful" else "raw"
+    return Verdict("invalid", Assignment(row, default=0, keying=keying), "brute")
+
+
+def _raw_column(seq: str, atom: int) -> tuple:
+    return seq, atom
+
+
+def _faithful_column(seq: str, atom: int) -> tuple:
+    return faithful_key(seq), atom
+
+
+def _atom_column(_seq: str, atom: int) -> int:
+    return atom
 
 
 def classical_valid(s: Sequent, cap: int = 24) -> Verdict:
     """Classical truth-table check; the countermodel ignores sequences."""
     atoms = sorted({atom for f in s.formulas for atom in _atom_indices(f)})
-    if len(atoms) > cap:
-        raise CapacityError(f"{len(atoms)} atoms exceed the enumeration cap of {cap}")
-    width = len(atoms)
-    columns, full = _column_masks(width)
-    table = {atom: columns[i] for i, atom in enumerate(atoms)}
-
-    def column_of(_seq: str, atom: int) -> int:
-        return table[atom]
-
-    falsified = full
-    for premise in s.premises:
-        falsified &= _mask_eval(premise, "", column_of, full)
-    falsified &= full ^ _mask_eval(s.conclusion, "", column_of, full)
-    if falsified == 0:
+    row = _first_falsifier(s, atoms, _atom_column, cap)
+    if row is None:
         return Verdict("valid", None, "classical")
-    row = (falsified & -falsified).bit_length() - 1
-    entries = {atoms[i]: (row >> (width - 1 - i)) & 1 for i in range(width)}
-    return Verdict("invalid", Assignment(entries, default=1, keying="plain"),
+    return Verdict("invalid", Assignment(row, default=1, keying="plain"),
                    "classical")
 
 

@@ -6,6 +6,12 @@ negation, ``l``/``r`` for the antecedent/consequent of a nested conditional,
 and a single terminal ``c`` marking immediate scope of a root-level
 conditional.  Sequences are plain strings; ``""`` is the empty sequence.
 
+The rule that gives each child its sequence lives here and nowhere else:
+``children`` takes one step of it and ``fold`` applies it recursively.
+Every traversal that tracks sequences (annotation, evaluation, the
+enumeration kernel, substitution, skeletons and the tableau rules) goes
+through one of the two.
+
 Besides the annotation map itself the module provides:
 
 * ``c_transform`` - rewrites an outermost ``l``/``r`` step into ``c``,
@@ -19,16 +25,21 @@ Besides the annotation map itself the module provides:
   tell them apart when evaluating from the root (cancelling an ``nn``
   pair can expose an ``l``/``r`` as the outermost step, where evaluation
   restarting at the empty sequence would have placed a ``c``);
+* ``keyed_table`` - the normalisation shared by assignment and
+  substitution tables;
 * ``polarity`` - the sign of a c-free sequence.
 """
 
 from __future__ import annotations
 
-from .formula import And, Formula, Imp, Neg, Or, OccurrencePath, PathError
+from typing import Mapping
+
+from .formula import Atom, Formula, Imp, Neg, OccurrencePath, Or, PathError
 
 __all__ = [
-    "SYMBOLS", "validate_seq", "is_lrn", "lrcn", "annotate",
-    "c_transform", "reduct", "equivalent", "faithful_key", "polarity",
+    "SYMBOLS", "validate_seq", "is_lrn", "children", "fold", "lrcn",
+    "annotate", "c_transform", "reduct", "equivalent", "faithful_key",
+    "keyed_table", "polarity",
 ]
 
 SYMBOLS = "lrnc"
@@ -49,36 +60,64 @@ def is_lrn(seq: str) -> bool:
     return not seq.endswith("c")
 
 
-def lrcn(root: Formula, path: OccurrencePath) -> str:
-    """Sequence of the occurrence addressed by ``path`` in ``root``.
+def children(node: Formula, seq: str) -> tuple:
+    """One step of the rule: ``(selector, child, sequence)`` per child of
+    ``node`` at sequence ``seq``, left to right; atoms have none.
 
-    Descending from the root at the empty sequence: conjunction and
-    disjunction pass the sequence through, negation prepends ``n``, a
-    conditional at the empty sequence sends both children to ``c`` and at
-    any other sequence prepends ``l`` or ``r``.
+    Negation prepends ``n``, a conditional at the empty sequence sends both
+    children to ``c`` and at any other sequence prepends ``l`` or ``r``,
+    conjunction and disjunction pass the sequence through.
     """
+    kind = type(node)
+    if kind is Atom:
+        return ()
+    if kind is Neg:
+        return (("only", node.child, "n" + seq),)
+    if kind is Imp:
+        if seq:
+            return (("left", node.left, "l" + seq), ("right", node.right, "r" + seq))
+        return (("left", node.left, "c"), ("right", node.right, "c"))
+    return (("left", node.left, seq), ("right", node.right, seq))
+
+
+def fold(a: Formula, seq: str, leaf, neg, conj, disj, imp):
+    """Combine ``a`` bottom-up at sequence ``seq`` by the rule of
+    :func:`children`: ``leaf(seq, atom)`` at each atom occurrence, left to
+    right, and ``neg(x)``, ``conj(x, y)``, ``disj(x, y)``, ``imp(x, y)`` on
+    the values of a node's children.
+
+    Builtins and constructors make cheap operators: ``min``/``max`` over
+    bits, ``operator.and_``/``operator.or_`` over packed columns, and
+    ``Neg``/``And``/``Or``/``Imp`` to rebuild a formula.
+    """
+    kind = type(a)
+    if kind is Atom:
+        return leaf(seq, a.index)
+    if kind is Neg:
+        return neg(fold(a.child, "n" + seq, leaf, neg, conj, disj, imp))
+    if kind is Imp:
+        if seq:
+            return imp(fold(a.left, "l" + seq, leaf, neg, conj, disj, imp),
+                       fold(a.right, "r" + seq, leaf, neg, conj, disj, imp))
+        return imp(fold(a.left, "c", leaf, neg, conj, disj, imp),
+                   fold(a.right, "c", leaf, neg, conj, disj, imp))
+    op = disj if kind is Or else conj
+    return op(fold(a.left, seq, leaf, neg, conj, disj, imp),
+              fold(a.right, seq, leaf, neg, conj, disj, imp))
+
+
+def lrcn(root: Formula, path: OccurrencePath) -> str:
+    """Sequence of the occurrence addressed by ``path`` in ``root``."""
     node = root
     seq = ""
     for depth, selector in enumerate(path):
-        if isinstance(node, Neg):
-            if selector != "only":
-                raise PathError(f"selector {selector!r} at depth {depth} "
-                                "does not fit a Neg node", selector, depth)
-            seq = "n" + seq
-            node = node.child
-            continue
-        if not isinstance(node, (And, Or, Imp)):
-            raise PathError(f"selector {selector!r} at depth {depth} "
-                            "descends past an atom", selector, depth)
-        if selector not in ("left", "right"):
-            raise PathError(f"selector {selector!r} at depth {depth} "
-                            "does not fit a binary node", selector, depth)
-        if isinstance(node, Imp):
-            if seq == "":
-                seq = "c"
-            else:
-                seq = ("l" if selector == "left" else "r") + seq
-        node = node.left if selector == "left" else node.right
+        for step, child, child_seq in children(node, seq):
+            if step == selector:
+                node, seq = child, child_seq
+                break
+        else:
+            raise PathError(f"selector {selector!r} at depth {depth} does not "
+                            f"fit a {type(node).__name__} node", selector, depth)
     return seq
 
 
@@ -89,18 +128,8 @@ def annotate(root: Formula) -> dict:
     while stack:
         path, node, seq = stack.pop()
         out[path] = seq
-        if isinstance(node, Neg):
-            stack.append((path + ("only",), node.child, "n" + seq))
-        elif isinstance(node, Imp):
-            if seq == "":
-                stack.append((path + ("left",), node.left, "c"))
-                stack.append((path + ("right",), node.right, "c"))
-            else:
-                stack.append((path + ("left",), node.left, "l" + seq))
-                stack.append((path + ("right",), node.right, "r" + seq))
-        elif isinstance(node, (And, Or)):
-            stack.append((path + ("left",), node.left, seq))
-            stack.append((path + ("right",), node.right, seq))
+        for selector, child, child_seq in children(node, seq):
+            stack.append((path + (selector,), child, child_seq))
     return out
 
 
@@ -148,6 +177,29 @@ def faithful_key(seq: str) -> str:
     if red.endswith("c") or not red or red[-1] == "n":
         return red
     return red[:-1] + "c"
+
+
+def keyed_table(entries: Mapping, keying: str, noun: str) -> dict:
+    """Normalised copy of a (sequence, atom)-keyed table.
+
+    ``raw`` keeps every key, ``faithful`` merges keys with the same
+    :func:`faithful_key`, and ``plain`` tables are keyed by atom alone.
+    Sequences are validated; two entries merged onto one key must agree,
+    else the error names the conflicting ``noun``.
+    """
+    if keying not in ("raw", "faithful", "plain"):
+        raise ValueError(f"unknown keying {keying!r}")
+    if keying == "plain":
+        return dict(entries)
+    table: dict = {}
+    for (seq, atom), value in entries.items():
+        validate_seq(seq)
+        key = (faithful_key(seq), atom) if keying == "faithful" else (seq, atom)
+        if table.get(key, value) != value:
+            raise ValueError(f"conflicting {noun} on equivalent keys at {key}: "
+                             "table is not faithful")
+        table[key] = value
+    return table
 
 
 def polarity(seq: str) -> str:

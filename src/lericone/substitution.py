@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, Sequent
-from .seq import faithful_key, reduct, validate_seq
+from .seq import faithful_key, fold, keyed_table, reduct, validate_seq
 
 __all__ = [
     "LericoneSubstitution", "RenamingTable", "apply_plain", "apply_lericone",
@@ -43,21 +43,8 @@ class LericoneSubstitution:
     keying: str = "raw"  # "raw" | "faithful" | "plain"
 
     def __post_init__(self) -> None:
-        if self.keying not in ("raw", "faithful", "plain"):
-            raise ValueError(f"unknown keying {self.keying!r}")
-        if self.keying == "plain":
-            table = dict(self.entries)
-        else:
-            table = {}
-            for (seq, atom), image in self.entries.items():
-                validate_seq(seq)
-                key = (faithful_key(seq), atom) if self.keying == "faithful" else (seq, atom)
-                if key in table and table[key] != image:
-                    raise ValueError(
-                        f"conflicting images on equivalent keys at {key}: "
-                        "table is not faithful")
-                table[key] = image
-        object.__setattr__(self, "entries", table)
+        object.__setattr__(self, "entries",
+                           keyed_table(self.entries, self.keying, "images"))
 
     @classmethod
     def plain(cls, mapping: Mapping) -> "LericoneSubstitution":
@@ -86,32 +73,16 @@ def identity_substitution() -> LericoneSubstitution:
 
 def apply_plain(table: Mapping, f: Formula) -> Formula:
     """Homomorphic image under an atom -> formula map."""
-    if isinstance(f, Atom):
-        return table.get(f.index, f)
-    if isinstance(f, Neg):
-        return Neg(apply_plain(table, f.child))
-    return type(f)(apply_plain(table, f.left), apply_plain(table, f.right))
+    def leaf(_seq: str, atom: int) -> Formula:
+        return table[atom] if atom in table else Atom(atom)
+
+    return fold(f, "", leaf, Neg, And, Or, Imp)
 
 
 def apply_lericone(s, seq: str, f: Formula) -> Formula:
-    """Image of ``f`` at sequence ``seq``.
-
-    Conjunction and disjunction pass the sequence down, negation prepends
-    n, a conditional at the empty sequence sends both sides to c and
-    elsewhere prepends l / r.
-    """
-    if isinstance(f, Atom):
-        return s.lookup(seq, f.index)
-    if isinstance(f, Neg):
-        return Neg(apply_lericone(s, "n" + seq, f.child))
-    if isinstance(f, And):
-        return And(apply_lericone(s, seq, f.left), apply_lericone(s, seq, f.right))
-    if isinstance(f, Or):
-        return Or(apply_lericone(s, seq, f.left), apply_lericone(s, seq, f.right))
-    if seq == "":
-        return Imp(apply_lericone(s, "c", f.left), apply_lericone(s, "c", f.right))
-    return Imp(apply_lericone(s, "l" + seq, f.left),
-               apply_lericone(s, "r" + seq, f.right))
+    """Image of ``f`` at sequence ``seq``: each atom occurrence is replaced
+    by ``s.lookup`` at the occurrence's sequence."""
+    return fold(f, seq, s.lookup, Neg, And, Or, Imp)
 
 
 @dataclass(frozen=True)
@@ -276,31 +247,15 @@ def skeletonize(s: Sequent, mode: str = "plain",
     if mode not in ("plain", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
     forward: dict = {}
-    counter = 0
 
-    def fresh_for(seq: str, atom: int) -> int:
-        nonlocal counter
+    def fresh_for(seq: str, atom: int) -> Formula:
         key_seq = faithful_key(seq) if mode == "faithful" else seq
         key = (key_seq, atom)
         if key not in forward:
-            if use_godel:
-                forward[key] = godel(key_seq, atom)
-            else:
-                counter += 1
-                forward[key] = counter
-        return forward[key]
+            forward[key] = godel(key_seq, atom) if use_godel else len(forward) + 1
+        return Atom(forward[key])
 
-    def walk(node: Formula, seq: str) -> Formula:
-        if isinstance(node, Atom):
-            return Atom(fresh_for(seq, node.index))
-        if isinstance(node, Neg):
-            return Neg(walk(node.child, "n" + seq))
-        if isinstance(node, (And, Or)):
-            return type(node)(walk(node.left, seq), walk(node.right, seq))
-        if seq == "":
-            return Imp(walk(node.left, "c"), walk(node.right, "c"))
-        return Imp(walk(node.left, "l" + seq), walk(node.right, "r" + seq))
-
-    premises = tuple(walk(p, "") for p in s.premises)
-    conclusion = walk(s.conclusion, "")
+    premises = tuple(fold(p, "", fresh_for, Neg, And, Or, Imp)
+                     for p in s.premises)
+    conclusion = fold(s.conclusion, "", fresh_for, Neg, And, Or, Imp)
     return Sequent(premises, conclusion), RenamingTable(forward, mode=mode)

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, Sequent, size
 from .semantics import Assignment, Verdict, falsifies
-from .seq import faithful_key
+from .seq import children, faithful_key
 
 __all__ = [
     "Triple", "Branch", "Tableau", "ClosureWitness", "RuleApplication",
@@ -128,43 +128,43 @@ class TableauResult:
         return Verdict(self.status, self.countermodel, "tableau")
 
 
+# (connective, sign, at ε) -> (rule name, whether it splits the branch,
+# sign of each child); "at ε" only matters for the conditional.
+_RULES = {
+    (And, 1, False): ("Positive Conjunction Rule", False, (1, 1)),
+    (And, 0, False): ("Negative Conjunction Rule", True, (0, 0)),
+    (Or, 1, False): ("Positive Disjunction Rule", True, (1, 1)),
+    (Or, 0, False): ("Negative Disjunction Rule", False, (0, 0)),
+    (Neg, 1, False): ("Positive Negation Rule", False, (0,)),
+    (Neg, 0, False): ("Negative Negation Rule", False, (1,)),
+    (Imp, 1, True): ("Positive Conditional Rule, ε case", True, (0, 1)),
+    (Imp, 0, True): ("Negative Conditional Rule, ε case", False, (1, 0)),
+    (Imp, 1, False): ("Positive Conditional Rule, non-ε case", True, (0, 1)),
+    (Imp, 0, False): ("Negative Conditional Rule, non-ε case", False, (1, 0)),
+}
+
+
 def extensions_of(triple: Triple) -> Optional[tuple]:
     """Rule name plus the triples each resulting branch receives.
 
     One inner tuple per branch: a single inner tuple extends the branch in
-    place, two of them split it.  Atoms have no extensions.
+    place, two of them split it.  Atoms have no extensions.  The children
+    carry the sequences :func:`lericone.seq.children` gives them.
     """
-    seq, sign, f = triple.seq, triple.sign, triple.formula
-    if isinstance(f, Atom):
+    f = triple.formula
+    kind = type(f)
+    if kind is Atom:
         return None
-    if isinstance(f, And):
-        if sign == 1:
-            return ("Positive Conjunction Rule",
-                    ((Triple(seq, 1, f.left), Triple(seq, 1, f.right)),))
-        return ("Negative Conjunction Rule",
-                ((Triple(seq, 0, f.left),), (Triple(seq, 0, f.right),)))
-    if isinstance(f, Or):
-        if sign == 1:
-            return ("Positive Disjunction Rule",
-                    ((Triple(seq, 1, f.left),), (Triple(seq, 1, f.right),)))
-        return ("Negative Disjunction Rule",
-                ((Triple(seq, 0, f.left), Triple(seq, 0, f.right)),))
-    if isinstance(f, Neg):
-        if sign == 1:
-            return ("Positive Negation Rule", ((Triple("n" + seq, 0, f.child),),))
-        return ("Negative Negation Rule", ((Triple("n" + seq, 1, f.child),),))
-    # conditional
-    if seq == "":
-        if sign == 1:
-            return ("Positive Conditional Rule, ε case",
-                    ((Triple("c", 0, f.left),), (Triple("c", 1, f.right),)))
-        return ("Negative Conditional Rule, ε case",
-                ((Triple("c", 1, f.left), Triple("c", 0, f.right)),))
-    if sign == 1:
-        return ("Positive Conditional Rule, non-ε case",
-                ((Triple("l" + seq, 0, f.left),), (Triple("r" + seq, 1, f.right),)))
-    return ("Negative Conditional Rule, non-ε case",
-            ((Triple("l" + seq, 1, f.left), Triple("r" + seq, 0, f.right)),))
+    seq = triple.seq
+    rule, split, signs = _RULES[kind, triple.sign, kind is Imp and not seq]
+    steps = children(f, seq)
+    first = Triple(steps[0][2], signs[0], steps[0][1])
+    if len(steps) == 1:
+        return rule, ((first,),)
+    second = Triple(steps[1][2], signs[1], steps[1][1])
+    if split:
+        return rule, ((first,), (second,))
+    return rule, ((first, second),)
 
 
 def initial_tableau(s: Sequent, mode: str = "plain") -> Tableau:

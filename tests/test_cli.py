@@ -188,3 +188,36 @@ def test_prove_over_cap_falls_back_to_tableau(capsys):
     code, _, err = run(capsys, "prove", f"(p1 -> p2) -> ({wide})",
                        "--method", "brute")
     assert code == 2 and "cap" in err
+
+
+def test_prove_rejects_negative_cap(capsys):
+    code, out, err = run(capsys, "prove", "--cap", "-1", "p1 -> p1")
+    assert code == 2 and "error" in err and "cap" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, proof, table", [
+    ("check-proof", {"logic": "BM", "lines": []}, None),
+    ("check-proof", {"logic": "BM", "lines": [
+        {"formula": "p1 -> p1", "just": {"axiom": "A1"}},
+        {"formula": "(p1 -> p1) & (p1 -> p1)",
+         "just": {"rule": "R1", "from": ["x", 1]}}]}, None),
+    ("transform-proof", {"logic": "BM", "lines": [
+        {"formula": "p1 -> p1", "just": {"axiom": "A1"}}]},
+     {"keying": "raw", "entries": [{"seq": "c", "atom": 1}]}),
+])
+def test_malformed_json_exits_2(tmp_path, capsys, command, proof, table):
+    proof_file = tmp_path / "proof.json"
+    proof_file.write_text(json.dumps(proof))
+    argv = [command, str(proof_file)]
+    if table is not None:
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps(table))
+        argv.append(str(table_file))
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error" in err
+
+
+def test_deep_formula_exits_2(capsys):
+    code, _, err = run(capsys, "prove", "~" * 1200 + "p1")
+    assert code == 2 and "error: formula nested too deeply" in err

@@ -69,6 +69,17 @@ def test_brute_capacity_error():
     assert "skeleton" in str(err.value)
 
 
+def test_decide_capacity_error():
+    wide = " & ".join(f"(p{i} -> p{i + 1})" for i in range(1, 15))
+    with pytest.raises(CapacityError) as err:
+        decide(formula_sequent(f"{wide} -> p99"), cap=24)
+    assert "skeleton" in str(err.value) and "cap" in str(err.value)
+    small = formula_sequent("p1 -> p2")  # two keys: c p1, c p2
+    assert decide(small, cap=2).status == "invalid"
+    with pytest.raises(CapacityError):
+        decide(small, cap=1)
+
+
 def test_classical_examples():
     assert classical_valid(formula_sequent("p1 -> p1")).valid
     verdict = classical_valid(formula_sequent("p1 -> p2"))

@@ -3,10 +3,12 @@ from itertools import product
 
 import pytest
 
-from lericone import (Imp, annotate, atom_occurrences, c_transform, equivalent,
-                      faithful_key, lrcn, parse, polarity, reduct)
+from lericone import (Imp, annotate, atom_occurrences, c_transform,
+                      domain_keys, equivalent, faithful_key, lrcn, parse,
+                      polarity, reduct, subformula_at)
 from lericone.generate import exhaustive_formulas, random_formula
-from lericone.seq import validate_seq
+from lericone.seq import children, validate_seq
+from lericone.tableau import Triple, extensions_of
 
 from conftest import (F, deletion_normal_forms, fold_polarity, p3, words_up_to)
 
@@ -44,11 +46,31 @@ def test_annotate_examples():
 
 
 def test_annotate_agrees_with_lrcn_everywhere():
+    """Every form of the sequence rule gives the same sequences: the path
+    walk, the whole-formula annotation, the fold behind domain_keys, and
+    the tableau rules."""
     rng = random.Random(11)
     for _ in range(60):
         f = random_formula(rng, (1, 2), rng.randint(0, 7))
-        for path, seq in annotate(f).items():
+        annotation = annotate(f)
+        for path, seq in annotation.items():
             assert lrcn(f, path) == seq
+        assert domain_keys(f) == {(annotation[path], atom)
+                                  for path, atom in atom_occurrences(f)}
+        for path, seq in annotation.items():
+            node = subformula_at(f, path)
+            steps = children(node, seq)
+            for selector, _, child_seq in steps:
+                assert annotation[path + (selector,)] == child_seq
+            for sign in (0, 1):
+                extension = extensions_of(Triple(seq, sign, node))
+                if not steps:
+                    assert extension is None
+                    continue
+                added = [(t.seq, t.formula)
+                         for group in extension[1] for t in group]
+                assert added == [(child_seq, child)
+                                 for _, child, child_seq in steps]
 
 
 def test_c_transform():
