@@ -17,8 +17,8 @@ import json
 import sys
 
 from . import jsonio
-from .formula import (And, Imp, Neg, Or, ParseError, parse, parse_sequent,
-                      render, render_sequent, subformula_at)
+from .formula import (Imp, ParseError, parse, parse_sequent, render,
+                      render_sequent, subformula_at)
 from .hilbert import ProofCheckError, check_proof, transform_proof
 from .relevance import certify_irrelevance, lericone_sharing
 from .semantics import CapacityError, brute_consequence, decide
@@ -44,25 +44,13 @@ def cmd_annotate(args) -> int:
                                      "subformula": render(subformula_at(f, path))}
                                     for path, seq in sorted(mapping.items())]})
         return EXIT_VALID
-    _print_annotation_tree(f, (), mapping, indent=0)
+    for path, seq in sorted(mapping.items()):  # preorder, left to right
+        label = seq if seq else "ε"
+        print(f"{'  ' * len(path)}{render(subformula_at(f, path))}   [{label}]")
     return EXIT_VALID
 
 
-def _print_annotation_tree(f, path, mapping, indent) -> None:
-    node = subformula_at(f, path)
-    seq = mapping[path]
-    label = seq if seq else "ε"
-    print(f"{'  ' * indent}{render(node)}   [{label}]")
-    if isinstance(node, Neg):
-        _print_annotation_tree(f, path + ("only",), mapping, indent + 1)
-    elif isinstance(node, (And, Or, Imp)):
-        _print_annotation_tree(f, path + ("left",), mapping, indent + 1)
-        _print_annotation_tree(f, path + ("right",), mapping, indent + 1)
-
-
 def _run_method(sequent, mode, method, cap):
-    if method == "tableau":
-        return tableau_prove(sequent, mode).verdict()
     if method == "brute":
         return brute_consequence(sequent, mode, cap=cap)
     if method == "skeleton":

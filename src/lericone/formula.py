@@ -263,7 +263,19 @@ def atom_occurrences(f: Formula) -> list:
 
 
 def atoms_of(f: Formula) -> set:
-    return {index for _, index in atom_occurrences(f)}
+    """Indices of the atoms occurring in f."""
+    atoms = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            atoms.add(node.index)
+        elif isinstance(node, Neg):
+            stack.append(node.child)
+        else:
+            stack.append(node.left)
+            stack.append(node.right)
+    return atoms
 
 
 def size(f: Formula) -> int:

@@ -10,7 +10,7 @@ from .formula import And, Atom, Formula, Imp, Neg, Or
 from .hilbert import (AXIOM_SCHEMAS, AxiomRef, HilbertProof, ProofLine,
                       RuleRef, match_axiom)
 from .seq import faithful_key
-from .substitution import LericoneSubstitution
+from .substitution import LericoneSubstitution, apply_plain
 
 __all__ = [
     "random_formula", "random_sequence", "random_substitution",
@@ -65,15 +65,7 @@ def _axiom_instance(rng: random.Random, logic: str, atoms,
     _, template = rng.choice(candidates)
     bind = {i: random_formula(rng, atoms, rng.randint(0, size))
             for i in (1, 2, 3)}
-
-    def instantiate(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            return bind[node.index]
-        if isinstance(node, Neg):
-            return Neg(instantiate(node.child))
-        return type(node)(instantiate(node.left), instantiate(node.right))
-
-    return instantiate(template)
+    return apply_plain(bind, template)
 
 
 def _axiom_ref(f: Formula, logic: str) -> AxiomRef:

@@ -39,14 +39,26 @@ def _decoding(what: str):
         raise ValueError(f"malformed {what}: {exc}") from None
 
 
+def _entries_to_json(table, field: str, encode) -> list:
+    """Entry list of a keyed table, ``field`` holding each encoded value;
+    plain tables omit ``seq``."""
+    if table.keying == "plain":
+        return [{"atom": atom, field: encode(value)}
+                for atom, value in sorted(table.entries.items())]
+    return [{"seq": seq, "atom": atom, field: encode(value)}
+            for (seq, atom), value in sorted(table.entries.items())]
+
+
+def _entries_from_json(entries, keying: str, field: str, decode) -> dict:
+    """Inverse of :func:`_entries_to_json`; a missing ``seq`` is ε."""
+    if keying == "plain":
+        return {int(e["atom"]): decode(e[field]) for e in entries}
+    return {(e.get("seq", ""), int(e["atom"])): decode(e[field]) for e in entries}
+
+
 def substitution_to_json(s: LericoneSubstitution) -> dict:
-    if s.keying == "plain":
-        entries = [{"atom": atom, "image": render(image)}
-                   for atom, image in sorted(s.entries.items())]
-    else:
-        entries = [{"seq": seq, "atom": atom, "image": render(image)}
-                   for (seq, atom), image in sorted(s.entries.items())]
-    return {"keying": s.keying, "entries": entries}
+    return {"keying": s.keying,
+            "entries": _entries_to_json(s, "image", render)}
 
 
 def substitution_from_json(data) -> LericoneSubstitution:
@@ -54,33 +66,19 @@ def substitution_from_json(data) -> LericoneSubstitution:
         data = {"keying": "raw", "entries": data}
     with _decoding("substitution table"):
         keying = data.get("keying", "raw")
-        if keying == "plain":
-            table = {int(e["atom"]): parse(e["image"]) for e in data["entries"]}
-            return LericoneSubstitution.plain(table)
-        table = {(e.get("seq", ""), int(e["atom"])): parse(e["image"])
-                 for e in data["entries"]}
+        table = _entries_from_json(data["entries"], keying, "image", parse)
         return LericoneSubstitution(table, keying=keying)
 
 
 def assignment_to_json(f: Assignment) -> dict:
-    if f.keying == "plain":
-        entries = [{"atom": atom, "value": bit}
-                   for atom, bit in sorted(f.entries.items())]
-    else:
-        entries = [{"seq": seq, "atom": atom, "value": bit}
-                   for (seq, atom), bit in sorted(f.entries.items())]
     return {"default": f.default, "faithful": f.keying == "faithful",
-            "keying": f.keying, "entries": entries}
+            "keying": f.keying, "entries": _entries_to_json(f, "value", int)}
 
 
 def assignment_from_json(data) -> Assignment:
     with _decoding("assignment"):
         keying = data.get("keying", "faithful" if data.get("faithful") else "raw")
-        if keying == "plain":
-            table = {int(e["atom"]): int(e["value"]) for e in data["entries"]}
-        else:
-            table = {(e.get("seq", ""), int(e["atom"])): int(e["value"])
-                     for e in data["entries"]}
+        table = _entries_from_json(data["entries"], keying, "value", int)
         return Assignment(table, default=int(data.get("default", 0)), keying=keying)
 
 

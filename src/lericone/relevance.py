@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Formula, Imp, Sequent, atom_occurrences, render
+from .formula import Formula, Imp, Sequent, atom_occurrences, atoms_of, render
 from .semantics import Assignment, evaluate
-from .seq import lrcn, polarity, reduct
+from .seq import keying_of, lrcn, polarity, table_key
 from .substitution import skeletonize
 
 __all__ = [
@@ -38,8 +38,7 @@ class SharingWitness:
 
 def shares_atom(a: Formula, b: Formula) -> Optional[int]:
     """Least atom index occurring in both, or None."""
-    common = ({i for _, i in atom_occurrences(a)}
-              & {i for _, i in atom_occurrences(b)})
+    common = atoms_of(a) & atoms_of(b)
     return min(common) if common else None
 
 
@@ -48,20 +47,17 @@ def lericone_sharing(imp: Formula, mode: str = "plain") -> Optional[SharingWitne
     (plain) or reduct-equivalent (faithful) sequences, in traversal order."""
     if not isinstance(imp, Imp):
         raise ValueError(f"expected an implication, got {render(imp)}")
-    if mode not in ("plain", "faithful"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def norm(seq: str) -> str:
-        return reduct(seq) if mode == "faithful" else seq
-
+    # occurrence sequences inside an implication end in c, where the
+    # faithful key is the reduct
+    key_for = table_key(keying_of(mode))
     consequent_index: dict = {}
     for path, atom in atom_occurrences(imp.right):
         full = ("right",) + path
-        key = (norm(lrcn(imp, full)), atom)
+        key = key_for(lrcn(imp, full), atom)
         consequent_index.setdefault(key, full)
     for path, atom in atom_occurrences(imp.left):
         full = ("left",) + path
-        key = (norm(lrcn(imp, full)), atom)
+        key = key_for(lrcn(imp, full), atom)
         if key in consequent_index:
             return SharingWitness(atom, full, consequent_index[key], key[0], mode)
     return None
@@ -76,6 +72,7 @@ def make_h(a: Formula, b: Formula, mode: str = "plain") -> Assignment:
     which is sound because reduct-equivalent sequences have equal
     polarity.
     """
+    keying = keying_of(mode)
     shared = shares_atom(a, b)
     if shared is not None:
         raise ValueError(f"sides share atom p{shared}; no falsifier of this "
@@ -93,8 +90,7 @@ def make_h(a: Formula, b: Formula, mode: str = "plain") -> Assignment:
             else:
                 bit = 0 if sign == "positive" else 1
             entries[(seq, atom)] = bit
-    return Assignment(entries, default=1,
-                      keying="faithful" if mode == "faithful" else "raw")
+    return Assignment(entries, default=1, keying=keying)
 
 
 def certify_irrelevance(imp: Formula, mode: str = "plain") -> Optional[Assignment]:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from operator import and_, or_
 from typing import Mapping, Optional
 
-from .formula import Atom, Formula, Neg, Sequent
-from .seq import faithful_key, fold, keyed_table
+from .formula import Formula, Sequent, atoms_of
+from .seq import KeyedTable, fold, keying_of, table_key
 from .substitution import skeletonize
 
 __all__ = [
@@ -46,7 +46,7 @@ class CapacityError(Exception):
 
 
 @dataclass(frozen=True)
-class Assignment:
+class Assignment(KeyedTable):
     """Finite (sequence, atom) -> bit table with a declared default bit."""
 
     entries: Mapping  # (seq, atom) -> bit; plain keying: atom -> bit
@@ -56,19 +56,13 @@ class Assignment:
     def __post_init__(self) -> None:
         if self.default not in (0, 1):
             raise ValueError("default must be a bit")
-        object.__setattr__(self, "entries",
-                           keyed_table(self.entries, self.keying, "bits"))
+        if any(bit not in (0, 1) for bit in self.entries.values()):
+            raise ValueError("assignment values must be bits")
+        self._key_entries("bits")
 
-    @property
-    def is_faithful(self) -> bool:
-        return self.keying in ("faithful", "plain")
-
-    def lookup(self, seq: str, atom: int) -> int:
-        if self.keying == "plain":
-            return self.entries.get(atom, self.default)
-        if self.keying == "faithful":
-            seq = faithful_key(seq)
-        return self.entries.get((seq, atom), self.default)
+    def _missing(self, _atom: int) -> int:
+        """Value of every key the table does not list: the default bit."""
+        return self.default
 
 
 @dataclass(frozen=True)
@@ -167,50 +161,23 @@ def brute_consequence(s: Sequent, mode: str = "plain", cap: int = 24) -> Verdict
     Faithful mode quotients the domain by the faithful key, which is
     exactly enumerating all faithful assignments on the relevant keys.
     """
-    if mode not in ("plain", "faithful"):
-        raise ValueError(f"unknown mode {mode!r}")
-    column = _faithful_column if mode == "faithful" else _raw_column
+    keying = keying_of(mode)
+    column = table_key(keying)
     keys = sorted({column(seq, atom) for seq, atom in relevant_domain(s)})
     row = _first_falsifier(s, keys, column, cap)
     if row is None:
         return Verdict("valid", None, "brute")
-    keying = "faithful" if mode == "faithful" else "raw"
     return Verdict("invalid", Assignment(row, default=0, keying=keying), "brute")
-
-
-def _raw_column(seq: str, atom: int) -> tuple:
-    return seq, atom
-
-
-def _faithful_column(seq: str, atom: int) -> tuple:
-    return faithful_key(seq), atom
-
-
-def _atom_column(_seq: str, atom: int) -> int:
-    return atom
 
 
 def classical_valid(s: Sequent, cap: int = 24) -> Verdict:
     """Classical truth-table check; the countermodel ignores sequences."""
-    atoms = sorted({atom for f in s.formulas for atom in _atom_indices(f)})
-    row = _first_falsifier(s, atoms, _atom_column, cap)
+    atoms = sorted(set().union(*map(atoms_of, s.formulas)))
+    row = _first_falsifier(s, atoms, table_key("plain"), cap)
     if row is None:
         return Verdict("valid", None, "classical")
     return Verdict("invalid", Assignment(row, default=1, keying="plain"),
                    "classical")
-
-
-def _atom_indices(f: Formula):
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            yield node.index
-        elif isinstance(node, Neg):
-            stack.append(node.child)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
 
 
 def decide(s: Sequent, mode: str = "plain", use_godel: bool = False,
@@ -229,8 +196,7 @@ def decide(s: Sequent, mode: str = "plain", use_godel: bool = False,
     pulled = Assignment(
         {key: classical.countermodel.lookup("", fresh)
          for key, fresh in renaming.forward.items()},
-        default=1,
-        keying="faithful" if mode == "faithful" else "raw")
+        default=1, keying=keying_of(mode))
     if not falsifies(pulled, s):
         raise AssertionError(
             "pulled-back countermodel failed to falsify the sequent; "

@@ -25,8 +25,9 @@ Besides the annotation map itself the module provides:
   tell them apart when evaluating from the root (cancelling an ``nn``
   pair can expose an ``l``/``r`` as the outermost step, where evaluation
   restarting at the empty sequence would have placed a ``c``);
-* ``keyed_table`` - the normalisation shared by assignment and
-  substitution tables;
+* ``keying_of`` / ``table_key`` - a mode's table keying and a keying's
+  key; ``keyed_table`` / ``KeyedTable`` - the normalisation and lookup
+  shared by assignment and substitution tables;
 * ``polarity`` - the sign of a c-free sequence.
 """
 
@@ -37,9 +38,9 @@ from typing import Mapping
 from .formula import Atom, Formula, Imp, Neg, OccurrencePath, Or, PathError
 
 __all__ = [
-    "SYMBOLS", "validate_seq", "is_lrn", "children", "fold", "lrcn",
-    "annotate", "c_transform", "reduct", "equivalent", "faithful_key",
-    "keyed_table", "polarity",
+    "SYMBOLS", "validate_seq", "children", "fold", "lrcn", "annotate",
+    "c_transform", "reduct", "equivalent", "faithful_key", "keying_of",
+    "table_key", "keyed_table", "KeyedTable", "polarity",
 ]
 
 SYMBOLS = "lrnc"
@@ -53,11 +54,6 @@ def validate_seq(seq: str) -> str:
     if "c" in seq[:-1]:
         raise ValueError(f"c must be the final symbol: {seq!r}")
     return seq
-
-
-def is_lrn(seq: str) -> bool:
-    """True when the sequence is c-free."""
-    return not seq.endswith("c")
 
 
 def children(node: Formula, seq: str) -> tuple:
@@ -179,6 +175,46 @@ def faithful_key(seq: str) -> str:
     return red[:-1] + "c"
 
 
+_MODE_KEYING = {"plain": "raw", "faithful": "faithful"}
+
+
+def keying_of(mode: str) -> str:
+    """Keying of a decision mode's tables: ``raw`` for ``plain`` mode, which
+    keeps every sequence apart, ``faithful`` for ``faithful`` mode; any
+    other mode raises ``ValueError``."""
+    try:
+        return _MODE_KEYING[mode]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown mode {mode!r}") from None
+
+
+def _raw_key(seq: str, atom: int) -> tuple:
+    return seq, atom
+
+
+def _faithful_table_key(seq: str, atom: int) -> tuple:
+    return faithful_key(seq), atom
+
+
+def _atom_key(_seq: str, atom: int) -> int:
+    return atom
+
+
+_TABLE_KEYS = {"raw": _raw_key, "faithful": _faithful_table_key,
+               "plain": _atom_key}
+
+
+def table_key(keying: str):
+    """The function ``(seq, atom) -> key`` naming the entry an atom
+    occurrence at ``seq`` reads in a table of this keying: ``(seq, atom)``
+    for ``raw``, ``(faithful_key(seq), atom)`` for ``faithful``, and the
+    atom alone for the sequence-blind (classical) ``plain`` keying."""
+    try:
+        return _TABLE_KEYS[keying]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown keying {keying!r}") from None
+
+
 def keyed_table(entries: Mapping, keying: str, noun: str) -> dict:
     """Normalised copy of a (sequence, atom)-keyed table.
 
@@ -187,19 +223,39 @@ def keyed_table(entries: Mapping, keying: str, noun: str) -> dict:
     Sequences are validated; two entries merged onto one key must agree,
     else the error names the conflicting ``noun``.
     """
-    if keying not in ("raw", "faithful", "plain"):
-        raise ValueError(f"unknown keying {keying!r}")
+    key_for = table_key(keying)
     if keying == "plain":
         return dict(entries)
     table: dict = {}
     for (seq, atom), value in entries.items():
         validate_seq(seq)
-        key = (faithful_key(seq), atom) if keying == "faithful" else (seq, atom)
+        key = key_for(seq, atom)
         if table.get(key, value) != value:
             raise ValueError(f"conflicting {noun} on equivalent keys at {key}: "
                              "table is not faithful")
         table[key] = value
     return table
+
+
+class KeyedTable:
+    """Lookup shared by assignments and substitutions.
+
+    A subclass has ``entries`` and ``keying`` fields, calls
+    :meth:`_key_entries` once built, and gives an absent key's value as
+    ``_missing(atom)``.  ``lookup`` probes the normalised entries once.
+    """
+
+    def _key_entries(self, noun: str) -> None:
+        object.__setattr__(self, "entries",
+                           keyed_table(self.entries, self.keying, noun))
+        object.__setattr__(self, "_key", table_key(self.keying))
+
+    @property
+    def is_faithful(self) -> bool:
+        return self.keying in ("faithful", "plain")
+
+    def lookup(self, seq: str, atom: int):
+        return self.entries.get(self._key(seq, atom), self._missing(atom))
 
 
 def polarity(seq: str) -> str:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, Sequent
-from .seq import faithful_key, fold, keyed_table, reduct, validate_seq
+from .seq import (KeyedTable, fold, keying_of, reduct, table_key,
+                  validate_seq)
 
 __all__ = [
     "LericoneSubstitution", "RenamingTable", "apply_plain", "apply_lericone",
@@ -36,15 +37,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LericoneSubstitution:
+class LericoneSubstitution(KeyedTable):
     """Finite (sequence, atom) -> formula table with identity default."""
 
     entries: Mapping  # (seq, atom) -> Formula; plain keying: atom -> Formula
     keying: str = "raw"  # "raw" | "faithful" | "plain"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries",
-                           keyed_table(self.entries, self.keying, "images"))
+        self._key_entries("images")
 
     @classmethod
     def plain(cls, mapping: Mapping) -> "LericoneSubstitution":
@@ -55,16 +55,9 @@ class LericoneSubstitution:
     def is_plain(self) -> bool:
         return self.keying == "plain"
 
-    @property
-    def is_faithful(self) -> bool:
-        return self.keying in ("faithful", "plain")
-
-    def lookup(self, seq: str, atom: int) -> Formula:
-        if self.keying == "plain":
-            return self.entries.get(atom, Atom(atom))
-        if self.keying == "faithful":
-            seq = faithful_key(seq)
-        return self.entries.get((seq, atom), Atom(atom))
+    def _missing(self, atom: int) -> Formula:
+        """Image of every key the table does not list: the atom itself."""
+        return Atom(atom)
 
 
 def identity_substitution() -> LericoneSubstitution:
@@ -216,17 +209,15 @@ class RenamingTable:
     mode: str = "plain"  # "plain" | "faithful": faithful keys are normalised
 
     def __post_init__(self) -> None:
+        keying_of(self.mode)  # rejects an unknown mode
         images = list(self.forward.values())
         if len(images) != len(set(images)):
             raise ValueError("renaming table is not injective")
 
     def as_substitution(self) -> LericoneSubstitution:
-        keying = "faithful" if self.mode == "faithful" else "raw"
         return LericoneSubstitution(
-            {key: Atom(idx) for key, idx in self.forward.items()}, keying=keying)
-
-    def key_of(self, seq: str) -> str:
-        return faithful_key(seq) if self.mode == "faithful" else seq
+            {key: Atom(idx) for key, idx in self.forward.items()},
+            keying=keying_of(self.mode))
 
 
 def inverse_rename(table: RenamingTable) -> dict:
@@ -244,15 +235,13 @@ def skeletonize(s: Sequent, mode: str = "plain",
     left-to-right traversal of the premises then the conclusion, or the
     godel coding when ``use_godel`` is set.
     """
-    if mode not in ("plain", "faithful"):
-        raise ValueError(f"unknown mode {mode!r}")
+    key_for = table_key(keying_of(mode))
     forward: dict = {}
 
     def fresh_for(seq: str, atom: int) -> Formula:
-        key_seq = faithful_key(seq) if mode == "faithful" else seq
-        key = (key_seq, atom)
+        key = key_for(seq, atom)
         if key not in forward:
-            forward[key] = godel(key_seq, atom) if use_godel else len(forward) + 1
+            forward[key] = godel(*key) if use_godel else len(forward) + 1
         return Atom(forward[key])
 
     premises = tuple(fold(p, "", fresh_for, Neg, And, Or, Imp)

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, Sequent, size
 from .semantics import Assignment, Verdict, falsifies
-from .seq import children, faithful_key
+from .seq import children, keying_of, table_key
 
 __all__ = [
     "Triple", "Branch", "Tableau", "ClosureWitness", "RuleApplication",
@@ -55,7 +55,7 @@ class Branch:
     members: set = field(default_factory=set)
     processed: int = 0  # triples below this index have been expanded
     closed: Optional[ClosureWitness] = None
-    _by_key: dict = field(default_factory=dict)  # (key_seq, sign, formula) -> Triple
+    _by_key: dict = field(default_factory=dict)  # ((key_seq, formula), sign) -> Triple
 
     def clone(self, new_ident: int) -> "Branch":
         child = Branch(new_ident, list(self.triples), set(self.members),
@@ -68,12 +68,13 @@ class Branch:
             return
         self.triples.append(triple)
         self.members.add(triple)
-        key_seq = faithful_key(triple.seq) if mode == "faithful" else triple.seq
-        self._by_key[(key_seq, triple.sign, triple.formula)] = triple
-        opposite = self._by_key.get((key_seq, 1 - triple.sign, triple.formula))
+        keying = keying_of(mode)
+        key = table_key(keying)(triple.seq, triple.formula)
+        self._by_key[key, triple.sign] = triple
+        opposite = self._by_key.get((key, 1 - triple.sign))
         if opposite is not None:
             pos, neg = ((triple, opposite) if triple.sign == 1 else (opposite, triple))
-            common = key_seq if mode == "faithful" else None
+            common = key[0] if keying == "faithful" else None
             self.closed = ClosureWitness(pos, neg, common)
 
     def next_unprocessed(self) -> Optional[Triple]:
@@ -169,8 +170,6 @@ def extensions_of(triple: Triple) -> Optional[tuple]:
 
 def initial_tableau(s: Sequent, mode: str = "plain") -> Tableau:
     """Single branch: every premise signed 1, the conclusion signed 0."""
-    if mode not in ("plain", "faithful"):
-        raise ValueError(f"unknown mode {mode!r}")
     tableau = Tableau(s, mode, [], 1)
     branch = Branch(0)
     for premise in s.premises:
@@ -228,8 +227,7 @@ def extract_countermodel(branch: Branch, mode: str, s: Sequent) -> Assignment:
     entries = {(t.seq, t.formula.index): 1
                for t in branch.triples
                if t.sign == 1 and isinstance(t.formula, Atom)}
-    model = Assignment(entries, default=0,
-                       keying="faithful" if mode == "faithful" else "raw")
+    model = Assignment(entries, default=0, keying=keying_of(mode))
     if not falsifies(model, s):
         raise AssertionError(
             "open-branch assignment failed to falsify the sequent; "

@@ -14,7 +14,12 @@ def run(capsys, *argv):
 def test_annotate(capsys):
     code, out, _ = run(capsys, "annotate", "~p1 -> (p1 -> p2)")
     assert code == 0
-    assert "[nc]" in out and "[lc]" in out and "[rc]" in out
+    assert out == ("~p1 -> (p1 -> p2)   [ε]\n"
+                   "  ~p1   [c]\n"
+                   "    p1   [nc]\n"
+                   "  p1 -> p2   [c]\n"
+                   "    p1   [lc]\n"
+                   "    p2   [rc]\n")
 
     code, out, _ = run(capsys, "annotate", "p1")
     assert code == 0 and "ε" in out

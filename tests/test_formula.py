@@ -5,7 +5,7 @@ import pytest
 from lericone import (And, Atom, Imp, Neg, Or, ParseError, PathError, Sequent,
                       atom_occurrences, parse, parse_sequent, render,
                       render_sequent, subformula_at)
-from lericone.formula import all_paths, size
+from lericone.formula import all_paths, atoms_of, size
 from lericone.generate import random_formula
 
 from conftest import F, p1, p2, p3
@@ -77,6 +77,10 @@ def test_atom_occurrences():
         (("left", "only"), 1), (("right", "left"), 1), (("right", "right"), 2)]
     assert atom_occurrences(p1) == [((), 1)]
     assert atom_occurrences(Or(p1, p1)) == [(("left",), 1), (("right",), 1)]
+    rng = random.Random(4)
+    for _ in range(40):
+        g = random_formula(rng, (1, 2, 3), rng.randint(0, 8))
+        assert atoms_of(g) == {atom for _, atom in atom_occurrences(g)}
 
 
 def test_paths_enumerate_exactly_the_valid_ones():

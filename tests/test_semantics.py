@@ -30,6 +30,16 @@ def test_evaluate_examples():
         assert evaluate(Assignment(table, default=rng.randint(0, 1)), "", chain) == 1
 
 
+def test_assignment_values_must_be_bits():
+    from lericone.jsonio import assignment_from_json
+    for keying, key in (("raw", ("c", 1)), ("faithful", ("c", 1)), ("plain", 1)):
+        with pytest.raises(ValueError, match="bits"):
+            Assignment({key: 2}, keying=keying)
+    with pytest.raises(ValueError, match="bits"):
+        assignment_from_json({"default": 0, "keying": "raw",
+                              "entries": [{"seq": "c", "atom": 1, "value": 2}]})
+
+
 def test_relevant_domain_examples():
     assert relevant_domain(formula_sequent("p1 -> ~~p1")) == {("c", 1), ("nnc", 1)}
     assert relevant_domain(formula_sequent("p1")) == {("", 1)}

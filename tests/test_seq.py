@@ -5,10 +5,14 @@ import pytest
 
 from lericone import (Imp, annotate, atom_occurrences, c_transform,
                       domain_keys, equivalent, faithful_key, lrcn, parse,
-                      polarity, reduct, subformula_at)
+                      parse_sequent, polarity, reduct, subformula_at)
 from lericone.generate import exhaustive_formulas, random_formula
+from lericone.relevance import certify_irrelevance, lericone_sharing, make_h
+from lericone.semantics import brute_consequence, decide
 from lericone.seq import children, validate_seq
-from lericone.tableau import Triple, extensions_of
+from lericone.substitution import RenamingTable, skeletonize
+from lericone.tableau import (Triple, extensions_of, extract_countermodel,
+                              initial_tableau, prove, saturate)
 
 from conftest import (F, deletion_normal_forms, fold_polarity, p3, words_up_to)
 
@@ -22,6 +26,32 @@ def test_validate_seq():
         validate_seq("ncc")
     with pytest.raises(ValueError):
         validate_seq("x")
+
+
+def _open_branch():
+    return saturate(initial_tableau(parse_sequent("p1 |- p2"))).branches[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda mode: brute_consequence(parse_sequent("p1 |- p1"), mode),
+    lambda mode: decide(parse_sequent("p1 |- p1"), mode),
+    lambda mode: skeletonize(parse_sequent("p1 |- p1"), mode=mode),
+    lambda mode: initial_tableau(parse_sequent("p1 |- p1"), mode),
+    lambda mode: prove(parse_sequent("p1 |- p1"), mode),
+    lambda mode: extract_countermodel(_open_branch(), mode,
+                                      parse_sequent("p1 |- p2")),
+    lambda mode: lericone_sharing(F("p1 -> p1"), mode),
+    lambda mode: certify_irrelevance(F("p1 -> p2"), mode),
+    lambda mode: make_h(F("p1"), F("p2"), mode),
+    lambda mode: RenamingTable({("c", 1): 1}, mode=mode).as_substitution(),
+], ids=["brute_consequence", "decide", "skeletonize", "initial_tableau",
+        "prove", "extract_countermodel", "lericone_sharing",
+        "certify_irrelevance", "make_h", "RenamingTable"])
+def test_unknown_mode_is_rejected(call):
+    for mode in ("plain", "faithful"):
+        call(mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        call("bogus")
 
 
 def test_lrcn_examples():
