@@ -4,11 +4,11 @@ and Hilbert proofs.  Shared by the self-test command and the test suite."""
 from __future__ import annotations
 
 import random
-from itertools import count
+from itertools import count, product
 
 from .formula import And, Atom, Formula, Imp, Neg, Or
-from .hilbert import (AXIOM_SCHEMAS, AxiomRef, HilbertProof, ProofLine,
-                      RuleRef, match_axiom)
+from .hilbert import (_RULES, AXIOM_SCHEMAS, AxiomRef, HilbertProof,
+                      ProofLine, RuleRef, _logic, match_axiom)
 from .seq import faithful_key
 from .substitution import LericoneSubstitution, apply_plain
 
@@ -60,19 +60,12 @@ def random_substitution(rng: random.Random, keying: str = "raw",
 
 def _axiom_instance(rng: random.Random, logic: str, atoms,
                     size: int) -> Formula:
-    candidates = [(aid, tmpl) for aid, tmpl in AXIOM_SCHEMAS
-                  if logic == "B" or aid != "A9"]
-    _, template = rng.choice(candidates)
+    axioms = _logic(logic).axioms
+    _, template = rng.choice([(aid, tmpl) for aid, tmpl in AXIOM_SCHEMAS
+                              if aid in axioms])
     bind = {i: random_formula(rng, atoms, rng.randint(0, size))
             for i in (1, 2, 3)}
     return apply_plain(bind, template)
-
-
-def _axiom_ref(f: Formula, logic: str) -> AxiomRef:
-    matched = match_axiom(f, logic)
-    if matched is None:
-        raise AssertionError("generated instance matches no axiom")
-    return AxiomRef(matched[0])
 
 
 def random_proof(rng: random.Random, logic: str = "BM", steps: int = 8,
@@ -80,24 +73,24 @@ def random_proof(rng: random.Random, logic: str = "BM", steps: int = 8,
     """Grow a proof by random axiom instances and applicable rule moves."""
     lines: list = []
 
-    def emit(formula: Formula, just) -> int:
-        lines.append(ProofLine(formula, just))
+    def axiom(formula: Formula) -> int:
+        matched = match_axiom(formula, logic)
+        if matched is None:
+            raise AssertionError("generated instance matches no axiom")
+        lines.append(ProofLine(formula, AxiomRef(matched[0])))
         return len(lines) - 1
 
-    first = _axiom_instance(rng, logic, atoms, size)
-    emit(first, _axiom_ref(first, logic))
+    def apply(rule: str, premises: tuple) -> None:
+        formulas = [lines[i].formula for i in premises]
+        lines.append(ProofLine(_RULES[rule][0](*formulas), RuleRef(rule, premises)))
 
-    moves = ["axiom", "R1", "R2-refl", "R2", "R3", "R4"]
-    if logic == "B":
-        moves += ["R5", "R5-intro"]
+    axiom(_axiom_instance(rng, logic, atoms, size))
+    moves = [m for m in ("axiom", "R1", "R2-refl", "R2", "R3", "R4", "R5", "R5-intro")
+             if m == "axiom" or m[:2] in _logic(logic).rules]
     for _ in range(steps):
         move = rng.choice(moves)
         if move == "axiom":
-            inst = _axiom_instance(rng, logic, atoms, size)
-            emit(inst, _axiom_ref(inst, logic))
-        elif move == "R1":
-            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
-            emit(And(lines[i].formula, lines[j].formula), RuleRef("R1", (i, j)))
+            axiom(_axiom_instance(rng, logic, atoms, size))
         elif move == "R2-refl":
             # manufacture a usable major premise: X -> X or X -> X | B
             i = rng.randrange(len(lines))
@@ -106,44 +99,25 @@ def random_proof(rng: random.Random, logic: str = "BM", steps: int = 8,
                 major = Imp(x, x)
             else:
                 major = Imp(x, Or(x, random_formula(rng, atoms, rng.randint(0, size))))
-            j = emit(major, _axiom_ref(major, logic))
-            emit(major.right, RuleRef("R2", (i, j)))
-        elif move == "R2":
-            pairs = [(i, j) for i, a in enumerate(lines)
-                     for j, b in enumerate(lines)
-                     if isinstance(b.formula, Imp) and b.formula.left == a.formula]
-            if not pairs:
-                continue
-            i, j = rng.choice(pairs)
-            emit(lines[j].formula.right, RuleRef("R2", (i, j)))
-        elif move == "R3":
-            imps = [i for i, l in enumerate(lines) if isinstance(l.formula, Imp)]
-            if not imps:
-                continue
-            i = rng.choice(imps)
-            f = lines[i].formula
-            emit(Imp(Neg(f.right), Neg(f.left)), RuleRef("R3", (i,)))
-        elif move == "R4":
-            imps = [i for i, l in enumerate(lines) if isinstance(l.formula, Imp)]
-            if not imps:
-                continue
-            i, j = rng.choice(imps), rng.choice(imps)
-            a, b = lines[i].formula, lines[j].formula
-            emit(Imp(Imp(a.right, b.left), Imp(a.left, b.right)),
-                 RuleRef("R4", (i, j)))
+            apply("R2", (i, axiom(major)))
         elif move == "R5-intro":
             # contraposition fodder: from ~X -> ~X conclude X -> ~~X
             x = random_formula(rng, atoms, rng.randint(0, size))
-            i = emit(Imp(Neg(x), Neg(x)), AxiomRef("A1"))
-            emit(Imp(x, Neg(Neg(x))), RuleRef("R5", (i,)))
-        else:  # R5
-            shaped = [i for i, l in enumerate(lines)
-                      if isinstance(l.formula, Imp) and isinstance(l.formula.right, Neg)]
-            if not shaped:
-                continue
-            i = rng.choice(shaped)
-            f = lines[i].formula
-            emit(Imp(f.right.child, Neg(f.left)), RuleRef("R5", (i,)))
+            apply("R5", (axiom(Imp(Neg(x), Neg(x))),))
+        elif move == "R2":
+            conclude = _RULES["R2"][0]
+            pairs = [(i, j) for i, j in product(range(len(lines)), repeat=2)
+                     if conclude(lines[i].formula, lines[j].formula) is not None]
+            if pairs:
+                apply("R2", rng.choice(pairs))
+        else:
+            # R1, R3, R4 and R5 fit a premise list exactly when each premise
+            # fits the rule on its own, so each is drawn from those lines
+            conclude, contexts = _RULES[move]
+            fits = [i for i, line in enumerate(lines)
+                    if conclude(*[line.formula] * len(contexts)) is not None]
+            if fits:
+                apply(move, tuple(rng.choice(fits) for _ in contexts))
     return HilbertProof(logic, tuple(lines))
 
 

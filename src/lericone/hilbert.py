@@ -1,26 +1,31 @@
 """Hilbert-style proof checking and the substitution proof transformer.
 
-Two systems are supported.  The weaker one has axioms A1-A8 with rules
-R1-R4; the stronger one ("B") adds double-negation elimination (A9) and
-the contraposition rule R5.  Proofs are theorem proofs: every line is an
-axiom instance or a rule application on earlier lines, never an open
+Two systems are supported.  The weaker one ("BM") has axioms A1-A8 with
+rules R1-R4; the stronger one ("B") adds double-negation elimination (A9)
+and the contraposition rule R5.  Proofs are theorem proofs: every line is
+an axiom instance or a rule application on earlier lines, never an open
 premise.
+
+Two tables define the calculus: ``_RULES`` gives each rule its conclusion
+and the substitution each premise is transformed under (and so its
+arity), ``_LOGICS`` each logic's axioms and rules and whether a transform
+needs a faithful substitution.  Checker, transformer and generator read them.
 
 ``transform_proof`` rebuilds a proof of the image of its conclusion under
 a sequence-indexed substitution.  Axiom instances map to instances of the
-same axiom.  Rule applications recurse with adjusted substitutions: modus
-ponens transforms its major premise with :func:`lericone.substitution.t_of`,
-the negation rules graft an ``n`` context with
-:func:`lericone.substitution.shift`, and the affixing rule grafts ``l``
-and ``r``.  For proofs in B the substitution must be faithful: the A9 and
-R5 cases equate images at keys that differ by a cancelled double
-negation.
+same axiom.  Rule applications recurse on each premise under its context:
+modus ponens transforms its major premise with
+:func:`lericone.substitution.t_of`, the negation rules graft an ``n``
+context with :func:`lericone.substitution.shift`, and the affixing rule
+grafts ``l`` and ``r``.  For proofs in B the substitution must be
+faithful: the A9 and R5 cases equate images at keys that differ by a
+cancelled double negation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, render
 from .substitution import apply_lericone, shift, t_of
@@ -33,7 +38,8 @@ __all__ = [
 
 _A, _B, _C = Atom(1), Atom(2), Atom(3)
 
-# Schema templates; the atoms 1..3 are metavariable slots A, B, C.
+# Schema templates; the atoms 1..3 are metavariable slots A, B, C.  The
+# order sets which schema match_axiom reports first.
 AXIOM_SCHEMAS = (
     ("A1", Imp(_A, _A)),
     ("A2", Imp(And(_A, _B), _A)),
@@ -49,7 +55,52 @@ AXIOM_SCHEMAS = (
 )
 
 _METAVAR_NAMES = {1: "A", 2: "B", 3: "C"}
-_RULE_ARITY = {"R1": 2, "R2": 2, "R3": 1, "R4": 2, "R5": 1}
+
+
+def _same(sub):
+    return sub
+
+
+def _graft(context: str):
+    return lambda sub: shift(sub, context)
+
+
+# rule -> (its conclusion on the premise formulas, or None if they do not
+# fit; the substitution each premise is transformed under)
+_RULES = {
+    "R1": (lambda a, b: And(a, b), (_same, _same)),
+    "R2": (lambda a, b: b.right if isinstance(b, Imp) and b.left == a else None,
+           (_same, t_of)),
+    "R3": (lambda a: Imp(Neg(a.right), Neg(a.left)) if isinstance(a, Imp) else None,
+           (_graft("n"),)),
+    "R4": (lambda a, b: Imp(Imp(a.right, b.left), Imp(a.left, b.right))
+           if isinstance(a, Imp) and isinstance(b, Imp) else None,
+           (_graft("l"), _graft("r"))),
+    "R5": (lambda a: Imp(a.right.child, Neg(a.left))
+           if isinstance(a, Imp) and isinstance(a.right, Neg) else None,
+           (_graft("n"),)),
+}
+
+
+class _Logic(NamedTuple):
+    axioms: frozenset
+    rules: frozenset
+    faithful: bool  # a transform needs a faithful substitution
+
+
+_BM_AXIOMS = frozenset(("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"))
+_LOGICS = {
+    "BM": _Logic(_BM_AXIOMS, frozenset(("R1", "R2", "R3", "R4")), False),
+    "B": _Logic(_BM_AXIOMS | {"A9"}, frozenset(_RULES), True),
+}
+_AXIOM_IDS = frozenset(aid for aid, _ in AXIOM_SCHEMAS)
+
+
+def _logic(name) -> _Logic:
+    try:
+        return _LOGICS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown logic {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -75,8 +126,7 @@ class HilbertProof:
     lines: tuple
 
     def __post_init__(self) -> None:
-        if self.logic not in ("BM", "B"):
-            raise ValueError(f"unknown logic {self.logic!r}")
+        _logic(self.logic)
         object.__setattr__(self, "lines", tuple(self.lines))
         if not self.lines:
             raise ValueError("a proof needs at least one line")
@@ -105,79 +155,54 @@ def _match(template: Formula, f: Formula, bind: dict) -> bool:
     return _match(template.left, f.left, bind) and _match(template.right, f.right, bind)
 
 
+def _instances(f: Formula, axioms):
+    """(axiom id, bind) per schema among ``axioms`` that ``f`` instantiates."""
+    for axiom_id, template in AXIOM_SCHEMAS:
+        bind: dict = {}
+        if axiom_id in axioms and _match(template, f, bind):
+            yield axiom_id, bind
+
+
 def match_axiom(f: Formula, logic: str = "BM") -> Optional[tuple]:
     """First matching schema in A1..A9 order with its instantiation.
 
-    A9 is only available in B.  Returns (axiom id, {metavariable: formula})
-    or None.
+    Only the logic's own axioms count, so A9 only in B.  Returns
+    (axiom id, {metavariable: formula}) or None.
     """
-    for axiom_id, template in AXIOM_SCHEMAS:
-        if axiom_id == "A9" and logic != "B":
-            continue
-        bind: dict = {}
-        if _match(template, f, bind):
-            return axiom_id, {_METAVAR_NAMES[i]: g for i, g in bind.items()}
+    for axiom_id, bind in _instances(f, _logic(logic).axioms):
+        return axiom_id, {_METAVAR_NAMES[i]: g for i, g in bind.items()}
     return None
-
-
-def _matches_axiom_id(f: Formula, axiom_id: str) -> bool:
-    return any(_match(template, f, {})
-               for aid, template in AXIOM_SCHEMAS if aid == axiom_id)
-
-
-def _rule_conclusion(rule: str, premises: list) -> Optional[Formula]:
-    """Conclusion shape of a rule on the given premise formulas, or None."""
-    if rule == "R1":
-        return And(premises[0], premises[1])
-    if rule == "R2":
-        major = premises[1]
-        if isinstance(major, Imp) and major.left == premises[0]:
-            return major.right
-        return None
-    if rule == "R3":
-        prem = premises[0]
-        if isinstance(prem, Imp):
-            return Imp(Neg(prem.right), Neg(prem.left))
-        return None
-    if rule == "R4":
-        first, second = premises
-        if isinstance(first, Imp) and isinstance(second, Imp):
-            return Imp(Imp(first.right, second.left), Imp(first.left, second.right))
-        return None
-    if rule == "R5":
-        prem = premises[0]
-        if isinstance(prem, Imp) and isinstance(prem.right, Neg):
-            return Imp(prem.right.child, Neg(prem.left))
-        return None
-    raise ValueError(f"unknown rule {rule!r}")
 
 
 def check_proof(pr: HilbertProof) -> None:
     """Validate every line; raises ProofCheckError naming the first bad line."""
+    logic = _LOGICS[pr.logic]
     for i, line in enumerate(pr.lines):
         just = line.just
         if isinstance(just, AxiomRef):
-            if just.axiom not in {aid for aid, _ in AXIOM_SCHEMAS}:
+            if just.axiom not in _AXIOM_IDS:
                 raise ProofCheckError(i, f"unknown axiom {just.axiom!r}")
-            if just.axiom == "A9" and pr.logic != "B":
-                raise ProofCheckError(i, "A9 is not available in BM")
-            if not _matches_axiom_id(line.formula, just.axiom):
+            if just.axiom not in logic.axioms:
+                raise ProofCheckError(
+                    i, f"{just.axiom} is not available in {pr.logic}")
+            if not any(_instances(line.formula, (just.axiom,))):
                 raise ProofCheckError(
                     i, f"{render(line.formula)} is not an instance of {just.axiom}")
         elif isinstance(just, RuleRef):
-            if just.rule not in _RULE_ARITY:
+            if just.rule not in _RULES:
                 raise ProofCheckError(i, f"unknown rule {just.rule!r}")
-            if just.rule == "R5" and pr.logic != "B":
-                raise ProofCheckError(i, "R5 is not available in BM")
-            if len(just.premises) != _RULE_ARITY[just.rule]:
+            if just.rule not in logic.rules:
                 raise ProofCheckError(
-                    i, f"{just.rule} takes {_RULE_ARITY[just.rule]} premises")
+                    i, f"{just.rule} is not available in {pr.logic}")
+            conclude, contexts = _RULES[just.rule]
+            if len(just.premises) != len(contexts):
+                raise ProofCheckError(
+                    i, f"{just.rule} takes {len(contexts)} premises")
             for ref in just.premises:
                 if not 0 <= ref < i:
                     raise ProofCheckError(i, f"premise reference {ref + 1} is not "
                                              "an earlier line")
-            formulas = [pr.lines[ref].formula for ref in just.premises]
-            expected = _rule_conclusion(just.rule, formulas)
+            expected = conclude(*[pr.lines[ref].formula for ref in just.premises])
             if expected is None:
                 raise ProofCheckError(
                     i, f"premises do not fit the shape of {just.rule}")
@@ -196,8 +221,9 @@ def transform_proof(pr: HilbertProof, s) -> HilbertProof:
     faithful, otherwise the A9 and R5 cases cannot be discharged.
     """
     check_proof(pr)
-    if pr.logic == "B" and not s.is_faithful:
-        raise ValueError("transforming a B proof requires a faithful substitution")
+    if _LOGICS[pr.logic].faithful and not s.is_faithful:
+        raise ValueError(f"transforming a {pr.logic} proof requires a "
+                         "faithful substitution")
 
     out: list = []
 
@@ -210,36 +236,21 @@ def transform_proof(pr: HilbertProof, s) -> HilbertProof:
         target = apply_lericone(sub, "", line.formula)
         just = line.just
         if isinstance(just, AxiomRef):
-            if not _matches_axiom_id(target, just.axiom):
+            if not any(_instances(target, (just.axiom,))):
                 raise AssertionError(
                     f"image {render(target)} is not an instance of {just.axiom}; "
                     "the substitution does not respect the logic")
-            return emit(target, AxiomRef(just.axiom))
-        if just.rule == "R1":
-            a = rec(just.premises[0], sub)
-            b = rec(just.premises[1], sub)
-            new_just = RuleRef("R1", (a, b))
-        elif just.rule == "R2":
-            a = rec(just.premises[0], sub)
-            b = rec(just.premises[1], t_of(sub))
-            new_just = RuleRef("R2", (a, b))
-        elif just.rule == "R3":
-            a = rec(just.premises[0], shift(sub, "n"))
-            new_just = RuleRef("R3", (a,))
-        elif just.rule == "R4":
-            a = rec(just.premises[0], shift(sub, "l"))
-            b = rec(just.premises[1], shift(sub, "r"))
-            new_just = RuleRef("R4", (a, b))
-        else:  # R5
-            a = rec(just.premises[0], shift(sub, "n"))
-            new_just = RuleRef("R5", (a,))
-        derived = _rule_conclusion(new_just.rule,
-                                   [out[ref].formula for ref in new_just.premises])
+            return emit(target, just)
+        conclude, contexts = _RULES[just.rule]
+        premises = []  # a loop, not a generator: one frame per proof level
+        for ref, context in zip(just.premises, contexts):
+            premises.append(rec(ref, context(sub)))
+        derived = conclude(*[out[ref].formula for ref in premises])
         if derived != target:
             raise AssertionError(
                 f"{just.rule} on transformed premises yields "
                 f"{render(derived) if derived else derived}, expected {render(target)}")
-        return emit(target, new_just)
+        return emit(target, RuleRef(just.rule, tuple(premises)))
 
     rec(len(pr.lines) - 1, s)
     result = HilbertProof(pr.logic, tuple(out))

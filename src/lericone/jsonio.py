@@ -50,10 +50,16 @@ def _entries_to_json(table, field: str, encode) -> list:
 
 
 def _entries_from_json(entries, keying: str, field: str, decode) -> dict:
-    """Inverse of :func:`_entries_to_json`; a missing ``seq`` is ε."""
-    if keying == "plain":
-        return {int(e["atom"]): decode(e[field]) for e in entries}
-    return {(e.get("seq", ""), int(e["atom"])): decode(e[field]) for e in entries}
+    """Inverse of :func:`_entries_to_json`; a missing ``seq`` is ε.  Entries
+    repeating a key must agree, as ``seq.keyed_table`` asks of merged keys."""
+    table: dict = {}
+    for e in entries:
+        key = (int(e["atom"]) if keying == "plain"
+               else (e.get("seq", ""), int(e["atom"])))
+        value = decode(e[field])
+        if table.setdefault(key, value) != value:
+            raise ValueError(f"conflicting {field}s at {key}")
+    return table
 
 
 def substitution_to_json(s: LericoneSubstitution) -> dict:

@@ -180,8 +180,7 @@ def classical_valid(s: Sequent, cap: int = 24) -> Verdict:
                    "classical")
 
 
-def decide(s: Sequent, mode: str = "plain", use_godel: bool = False,
-           cap: int = 24) -> Verdict:
+def decide(s: Sequent, mode: str = "plain", *, cap: int = 24) -> Verdict:
     """Skeletonize, decide classically, and pull any countermodel back.
 
     The skeleton's atoms are in bijection with the sequent's (sequence,
@@ -189,7 +188,7 @@ def decide(s: Sequent, mode: str = "plain", use_godel: bool = False,
     countermodel induces a sequence-keyed assignment that is re-checked
     against the original sequent before being returned.
     """
-    skeleton, renaming = skeletonize(s, mode=mode, use_godel=use_godel)
+    skeleton, renaming = skeletonize(s, mode=mode)
     classical = classical_valid(skeleton, cap=cap)
     if classical.valid:
         return Verdict("valid", None, "skeleton")

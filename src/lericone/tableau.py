@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_FAITHFUL_KEY = table_key("faithful")
+
+
 @dataclass(frozen=True)
 class Triple:
     seq: str
@@ -62,19 +65,19 @@ class Branch:
                        self.processed, self.closed, dict(self._by_key))
         return child
 
-    def add(self, triple: Triple, mode: str) -> None:
-        """Insert with per-branch dedup and an eager closure check."""
+    def add(self, triple: Triple, key_of) -> None:
+        """Insert with per-branch dedup and an eager closure check on
+        ``key_of``, the tableau's :attr:`Tableau.key_of`."""
         if triple in self.members or self.closed is not None:
             return
         self.triples.append(triple)
         self.members.add(triple)
-        keying = keying_of(mode)
-        key = table_key(keying)(triple.seq, triple.formula)
+        key = key_of(triple.seq, triple.formula)
         self._by_key[key, triple.sign] = triple
         opposite = self._by_key.get((key, 1 - triple.sign))
         if opposite is not None:
             pos, neg = ((triple, opposite) if triple.sign == 1 else (opposite, triple))
-            common = key[0] if keying == "faithful" else None
+            common = key[0] if key_of is _FAITHFUL_KEY else None
             self.closed = ClosureWitness(pos, neg, common)
 
     def next_unprocessed(self) -> Optional[Triple]:
@@ -100,6 +103,10 @@ class Tableau:
     branches: list
     next_ident: int = 0
     steps: list = field(default_factory=list)
+    key_of: object = field(init=False, repr=False)  # the mode's closure key
+
+    def __post_init__(self) -> None:
+        self.key_of = table_key(keying_of(self.mode))
 
 
 @dataclass(frozen=True)
@@ -173,8 +180,8 @@ def initial_tableau(s: Sequent, mode: str = "plain") -> Tableau:
     tableau = Tableau(s, mode, [], 1)
     branch = Branch(0)
     for premise in s.premises:
-        branch.add(Triple("", 1, premise), mode)
-    branch.add(Triple("", 0, s.conclusion), mode)
+        branch.add(Triple("", 1, premise), tableau.key_of)
+    branch.add(Triple("", 0, s.conclusion), tableau.key_of)
     tableau.branches = [branch]
     return tableau
 
@@ -193,7 +200,7 @@ def expand_step(tableau: Tableau) -> bool:
         results = []
         if len(groups) == 1:
             for new in groups[0]:
-                branch.add(new, tableau.mode)
+                branch.add(new, tableau.key_of)
             results.append((branch.ident, groups[0]))
         else:
             children = []
@@ -201,7 +208,7 @@ def expand_step(tableau: Tableau) -> bool:
                 child = branch.clone(tableau.next_ident)
                 tableau.next_ident += 1
                 for new in group:
-                    child.add(new, tableau.mode)
+                    child.add(new, tableau.key_of)
                 children.append(child)
                 results.append((child.ident, group))
             tableau.branches[position:position + 1] = children
@@ -268,14 +275,14 @@ def replay(proof: TableauProof) -> bool:
             return False
         if len(groups) == 1:
             for new in groups[0]:
-                branch.add(new, proof.mode)
+                branch.add(new, tableau.key_of)
         else:
             position = order.index(step.branch)
             children = []
             for (ident, group) in step.results:
                 child = branch.clone(ident)
                 for new in group:
-                    child.add(new, proof.mode)
+                    child.add(new, tableau.key_of)
                 children.append(child)
                 by_ident[ident] = child
             order[position:position + 1] = [c.ident for c in children]

@@ -76,6 +76,13 @@ def test_substitute_table(tmp_path, capsys):
     code, out, _ = run(capsys, "substitute", "~p1 | p2", "--table", str(identity))
     assert code == 0 and out.strip() == "~p1 | p2"
 
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps({"keying": "raw", "entries": [
+        {"seq": "c", "atom": 1, "image": "p2"},
+        {"seq": "c", "atom": 1, "image": "p3"}]}))
+    code, out, err = run(capsys, "substitute", "p1 -> p1", "--table", str(twice))
+    assert code == 2 and "conflicting images" in err and out == ""
+
 
 def test_skeleton(capsys):
     code, out, _ = run(capsys, "skeleton", "p1 -> ~~p1")

@@ -27,6 +27,11 @@ def test_match_axiom_examples():
 
     assert match_axiom(F("~~p1 -> p1"), "BM") is None
     assert match_axiom(F("~~p1 -> p1"), "B")[0] == "A9"
+    with pytest.raises(ValueError, match="unknown logic"):
+        match_axiom(F("p1 -> p1"), "BN")
+    for logic in ("BN", ["B"]):
+        with pytest.raises(ValueError, match="unknown logic"):
+            HilbertProof(logic, (axiom_line("p1 -> p1", "A1"),))
 
 
 def test_match_axiom_prefers_lowest_number():
@@ -203,3 +208,94 @@ def test_implication_conclusions_carry_sharing_witness():
         if isinstance(f, Imp):
             assert lericone_sharing(f, "faithful") is not None
     assert seen > 10
+
+
+def _line(text, just):
+    return ProofLine(F(text), just)
+
+
+# Every check_proof rejection, with the exact text `check-proof --json`
+# prints.  The order of the checks shows where one proof breaks several
+# rules: the gate before the arity, the arity before the references.
+_PII = _line("p1 -> p1", AxiomRef("A1"))
+_NEG = _line("~p1 -> ~p1", AxiomRef("A1"))
+_CONJ = _line("(p1 & p2) -> p1", AxiomRef("A2"))
+_REJECTIONS = [
+    ("unknown axiom", "BM", (_line("p1 -> p1", AxiomRef("A10")),),
+     "line 1: unknown axiom 'A10'"),
+    ("A9 in BM", "BM", (_line("~~p1 -> p1", AxiomRef("A9")),),
+     "line 1: A9 is not available in BM"),
+    ("non-instance", "BM", (_line("p1 -> p2", AxiomRef("A1")),),
+     "line 1: p1 -> p2 is not an instance of A1"),
+    ("non-instance of A9", "B", (_line("~p1 -> p1", AxiomRef("A9")),),
+     "line 1: ~p1 -> p1 is not an instance of A9"),
+    ("unknown rule", "B", (_PII, _line("p1", RuleRef("R6", (0,)))),
+     "line 2: unknown rule 'R6'"),
+    ("R5 in BM", "BM", (_NEG, _line("p1 -> ~~p1", RuleRef("R5", (0, 0)))),
+     "line 2: R5 is not available in BM"),
+    ("R1 arity", "BM", (_PII, _line("p1", RuleRef("R1", (0,)))),
+     "line 2: R1 takes 2 premises"),
+    ("R2 arity", "BM", (_PII, _line("p1", RuleRef("R2", (0, 0, 0)))),
+     "line 2: R2 takes 2 premises"),
+    ("R3 arity", "BM", (_PII, _line("p1", RuleRef("R3", (0, 5)))),
+     "line 2: R3 takes 1 premises"),
+    ("R4 arity", "BM", (_PII, _line("p1", RuleRef("R4", ()))),
+     "line 2: R4 takes 2 premises"),
+    ("R5 arity", "B", (_PII, _line("p1", RuleRef("R5", (0, 0)))),
+     "line 2: R5 takes 1 premises"),
+    ("forward reference", "BM", (_PII, _line("p1", RuleRef("R1", (0, 2)))),
+     "line 2: premise reference 3 is not an earlier line"),
+    ("self reference", "BM", (_PII, _line("p1", RuleRef("R3", (1,)))),
+     "line 2: premise reference 2 is not an earlier line"),
+    ("negative reference", "BM", (_PII, _line("p1", RuleRef("R3", (-1,)))),
+     "line 2: premise reference 0 is not an earlier line"),
+    ("R1 conclusion", "BM", (_PII, _line("p1 & p2", RuleRef("R1", (0, 0)))),
+     "line 2: R1 yields (p1 -> p1) & (p1 -> p1), line states p1 & p2"),
+    ("R2 minor mismatch", "BM",
+     (_CONJ, _PII, _line("p1", RuleRef("R2", (0, 1)))),
+     "line 3: premises do not fit the shape of R2"),
+    ("R2 major not a conditional", "BM",
+     (_PII, _line("(p1 -> p1) & (p1 -> p1)", RuleRef("R1", (0, 0))),
+      _line("p1", RuleRef("R2", (0, 1)))),
+     "line 3: premises do not fit the shape of R2"),
+    ("R2 conclusion", "BM",
+     (_PII, _line("(p1 -> p1) -> (p1 -> p1)", AxiomRef("A1")),
+      _line("p2", RuleRef("R2", (0, 1)))),
+     "line 3: R2 yields p1 -> p1, line states p2"),
+    ("R3 not a conditional", "BM",
+     (_PII, _line("(p1 -> p1) & (p1 -> p1)", RuleRef("R1", (0, 0))),
+      _line("p1", RuleRef("R3", (1,)))),
+     "line 3: premises do not fit the shape of R3"),
+    ("R3 conclusion", "BM", (_CONJ, _line("~p1 -> ~p2", RuleRef("R3", (0,)))),
+     "line 2: R3 yields ~p1 -> ~(p1 & p2), line states ~p1 -> ~p2"),
+    ("R4 first not a conditional", "BM",
+     (_PII, _line("(p1 -> p1) & (p1 -> p1)", RuleRef("R1", (0, 0))),
+      _line("p1", RuleRef("R4", (1, 0)))),
+     "line 3: premises do not fit the shape of R4"),
+    ("R4 second not a conditional", "BM",
+     (_PII, _line("(p1 -> p1) & (p1 -> p1)", RuleRef("R1", (0, 0))),
+      _line("p1", RuleRef("R4", (0, 1)))),
+     "line 3: premises do not fit the shape of R4"),
+    ("R4 conclusion", "BM", (_PII, _CONJ, _line("p1", RuleRef("R4", (1, 0)))),
+     "line 3: R4 yields (p1 -> p1) -> ((p1 & p2) -> p1), line states p1"),
+    ("R5 not a conditional", "B",
+     (_PII, _line("(p1 -> p1) & (p1 -> p1)", RuleRef("R1", (0, 0))),
+      _line("p1", RuleRef("R5", (1,)))),
+     "line 3: premises do not fit the shape of R5"),
+    ("R5 consequent not a negation", "B",
+     (_PII, _line("~p1 -> p1", RuleRef("R5", (0,)))),
+     "line 2: premises do not fit the shape of R5"),
+    ("R5 conclusion", "B", (_NEG, _line("p1 -> ~p1", RuleRef("R5", (0,)))),
+     "line 2: R5 yields p1 -> ~~p1, line states p1 -> ~p1"),
+    ("unknown justification", "BM", (_line("p1 -> p1", "A1"),),
+     "line 1: unknown justification 'A1'"),
+]
+
+
+@pytest.mark.parametrize("logic, lines, message", [r[1:] for r in _REJECTIONS],
+                         ids=[r[0] for r in _REJECTIONS])
+def test_check_proof_rejection_messages(logic, lines, message):
+    with pytest.raises(ProofCheckError) as err:
+        check_proof(HilbertProof(logic, lines))
+    assert str(err.value) == message
+    assert err.value.line == int(message.split(":")[0].split()[1]) - 1

@@ -151,6 +151,25 @@ def test_faithful_table_rejects_conflicts():
     assert merged.lookup("nnnnc", 1) == F("p7")
 
 
+@pytest.mark.parametrize("keying", ["raw", "faithful", "plain"])
+def test_decoded_tables_reject_conflicting_duplicates(keying):
+    from lericone.jsonio import assignment_from_json, substitution_from_json
+
+    def entries(field, first, second):
+        key = {"atom": 1} if keying == "plain" else {"seq": "c", "atom": 1}
+        return {"keying": keying, "entries": [{**key, field: first},
+                                              {**key, field: second}]}
+
+    with pytest.raises(ValueError, match="conflicting images"):
+        substitution_from_json(entries("image", "p2", "p3"))
+    with pytest.raises(ValueError, match="conflicting values"):
+        assignment_from_json(entries("value", 0, 1))
+    # equal duplicates are one entry
+    key = 1 if keying == "plain" else ("c", 1)
+    assert substitution_from_json(entries("image", "p2", "p2")).entries == {key: p2}
+    assert assignment_from_json(entries("value", 1, 1)).entries == {key: 1}
+
+
 def test_inverse_rename_round_trip():
     rng = random.Random(53)
     for mode in ("plain", "faithful"):
