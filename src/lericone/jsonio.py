@@ -127,14 +127,12 @@ def proof_from_json(data) -> HilbertProof:
     with _decoding("proof"):
         for entry in data["lines"]:
             just = entry["just"]
-            if "axiom" in just:
-                ref = AxiomRef(just["axiom"])
-            else:
-                refs = just["from"]
-                if not all(type(i) is int for i in refs):
-                    raise ValueError(f"premise references must be line numbers: "
-                                     f"{refs!r}")
-                ref = RuleRef(just["rule"], tuple(i - 1 for i in refs))
+            name = just["axiom"] if "axiom" in just else just["rule"]
+            refs = () if "axiom" in just else just["from"]
+            if type(name) is not str or not all(type(i) is int for i in refs):
+                raise ValueError(f"malformed proof: bad justification {just!r}")
+            ref = (AxiomRef(name) if "axiom" in just
+                   else RuleRef(name, tuple(i - 1 for i in refs)))
             lines.append(ProofLine(parse(entry["formula"]), ref))
         return HilbertProof(data["logic"], tuple(lines))
 

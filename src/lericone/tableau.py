@@ -13,7 +13,10 @@ raw sequences and their common key, from which the individual
 double-negation cancellation steps can be reconstructed.
 
 Expansion is deterministic (oldest unprocessed triple on the leftmost
-open branch), so proof objects replay exactly.
+open branch), so proof objects replay exactly.  :func:`prove` stops at
+the verdict: a closed tableau is expanded in full, while on an open one
+expansion ends once the leftmost open branch is saturated, which alone
+determines the countermodel.  :func:`saturate` expands every branch.
 """
 
 from __future__ import annotations
@@ -61,9 +64,8 @@ class Branch:
     _by_key: dict = field(default_factory=dict)  # ((key_seq, formula), sign) -> Triple
 
     def clone(self, new_ident: int) -> "Branch":
-        child = Branch(new_ident, list(self.triples), set(self.members),
-                       self.processed, self.closed, dict(self._by_key))
-        return child
+        return Branch(new_ident, list(self.triples), set(self.members),
+                      self.processed, self.closed, dict(self._by_key))
 
     def add(self, triple: Triple, key_of) -> None:
         """Insert with per-branch dedup and an eager closure check on
@@ -92,9 +94,6 @@ class Branch:
     def is_open(self) -> bool:
         return self.closed is None
 
-    def is_saturated(self) -> bool:
-        return all(isinstance(t.formula, Atom) for t in self.triples[self.processed:])
-
 
 @dataclass
 class Tableau:
@@ -103,6 +102,7 @@ class Tableau:
     branches: list
     next_ident: int = 0
     steps: list = field(default_factory=list)
+    cursor: int = 0  # index of the leftmost branch not known to be finished
     key_of: object = field(init=False, repr=False)  # the mode's closure key
 
     def __post_init__(self) -> None:
@@ -186,34 +186,50 @@ def initial_tableau(s: Sequent, mode: str = "plain") -> Tableau:
     return tableau
 
 
+def _frontier(tableau: Tableau) -> Optional[Branch]:
+    """The leftmost open branch at or after the cursor, which moves past
+    closed ones.  Branches before the cursor are closed or saturated, and
+    expansion only touches the branch it expands, so they never change."""
+    branches = tableau.branches
+    while tableau.cursor < len(branches):
+        branch = branches[tableau.cursor]
+        if branch.is_open:
+            return branch
+        tableau.cursor += 1
+    return None
+
+
+def _apply(tableau: Tableau, position: int, triple: Triple) -> RuleApplication:
+    """Apply the rule for ``triple`` to the branch at ``position``: extend
+    it in place by one group, or replace it by one clone per group; the
+    step is recorded and returned."""
+    branch = tableau.branches[position]
+    rule, groups = extensions_of(triple)
+    branch.processed += 1
+    if len(groups) == 1:
+        children = [branch]
+    else:
+        children = [branch.clone(tableau.next_ident + i) for i in range(len(groups))]
+        tableau.next_ident += len(groups)
+    for child, group in zip(children, groups):
+        for new in group:
+            child.add(new, tableau.key_of)
+    tableau.branches[position:position + 1] = children
+    step = RuleApplication(branch.ident, triple, rule,
+                           tuple((c.ident, g) for c, g in zip(children, groups)))
+    tableau.steps.append(step)
+    return step
+
+
 def expand_step(tableau: Tableau) -> bool:
     """Apply one rule to the oldest unprocessed triple on the leftmost
     open branch; returns False when every branch is saturated or closed."""
-    for position, branch in enumerate(tableau.branches):
-        if not branch.is_open:
-            continue
+    while (branch := _frontier(tableau)) is not None:
         triple = branch.next_unprocessed()
-        if triple is None:
-            continue
-        rule, groups = extensions_of(triple)
-        branch.processed += 1
-        results = []
-        if len(groups) == 1:
-            for new in groups[0]:
-                branch.add(new, tableau.key_of)
-            results.append((branch.ident, groups[0]))
-        else:
-            children = []
-            for group in groups:
-                child = branch.clone(tableau.next_ident)
-                tableau.next_ident += 1
-                for new in group:
-                    child.add(new, tableau.key_of)
-                children.append(child)
-                results.append((child.ident, group))
-            tableau.branches[position:position + 1] = children
-        tableau.steps.append(RuleApplication(branch.ident, triple, rule, tuple(results)))
-        return True
+        if triple is not None:
+            _apply(tableau, tableau.cursor, triple)
+            return True
+        tableau.cursor += 1
     return False
 
 
@@ -229,7 +245,7 @@ def extract_countermodel(branch: Branch, mode: str, s: Sequent) -> Assignment:
     against the sequent before being returned."""
     if not branch.is_open:
         raise ValueError("branch is closed")
-    if not branch.is_saturated():
+    if branch.next_unprocessed() is not None:
         raise ValueError("branch is not saturated")
     entries = {(t.seq, t.formula.index): 1
                for t in branch.triples
@@ -243,56 +259,42 @@ def extract_countermodel(branch: Branch, mode: str, s: Sequent) -> Assignment:
 
 
 def prove(s: Sequent, mode: str = "plain") -> TableauResult:
-    """Saturate the tableau for the sequent and report the outcome.
+    """Expand the tableau for the sequent until the verdict and report it.
 
-    Closed tableau: a proof object recording every rule application and
-    one closure witness per branch.  Open tableau: a countermodel from
-    the leftmost saturated open branch.
+    Closed tableau: every branch is expanded, and the proof object records
+    every rule application and one closure witness per branch.  Open
+    tableau: expansion stops as soon as the leftmost open branch is
+    saturated, and the countermodel is read off that branch; branches to
+    its right may be left unexpanded.  :func:`saturate` expands everything.
     """
-    tableau = saturate(initial_tableau(s, mode))
-    open_branches = [b for b in tableau.branches if b.is_open]
-    if not open_branches:
-        witnesses = tuple((b.ident, b.closed) for b in tableau.branches)
-        proof = TableauProof(s, mode, tuple(tableau.steps), witnesses)
-        return TableauResult("valid", proof, None, tableau)
-    model = extract_countermodel(open_branches[0], mode, s)
-    return TableauResult("invalid", None, model, tableau)
+    tableau = initial_tableau(s, mode)
+    while (branch := _frontier(tableau)) is not None:
+        triple = branch.next_unprocessed()
+        if triple is None:
+            model = extract_countermodel(branch, mode, s)
+            return TableauResult("invalid", None, model, tableau)
+        _apply(tableau, tableau.cursor, triple)
+    witnesses = tuple((b.ident, b.closed) for b in tableau.branches)
+    proof = TableauProof(s, mode, tuple(tableau.steps), witnesses)
+    return TableauResult("valid", proof, None, tableau)
 
 
 def replay(proof: TableauProof) -> bool:
     """Re-run the recorded rule applications from the initial tableau and
-    confirm they are legal, reproduce the same additions, and close every
-    branch with the recorded witnesses."""
+    confirm they are legal, reproduce the same additions and branch names,
+    and close every branch with the recorded witnesses."""
     tableau = initial_tableau(proof.sequent, proof.mode)
-    by_ident = {tableau.branches[0].ident: tableau.branches[0]}
-    order = [tableau.branches[0].ident]
     for step in proof.steps:
-        branch = by_ident[step.branch]
-        rule, groups = extensions_of(step.triple)
-        if rule != step.rule or step.triple not in branch.members:
+        position = next((i for i, b in enumerate(tableau.branches)
+                         if b.ident == step.branch), None)
+        if (position is None or isinstance(step.triple.formula, Atom)
+                or step.triple not in tableau.branches[position].members):
             return False
-        if tuple(added for _, added in step.results) != groups:
+        if _apply(tableau, position, step.triple) != step:
             return False
-        if len(groups) == 1:
-            for new in groups[0]:
-                branch.add(new, tableau.key_of)
-        else:
-            position = order.index(step.branch)
-            children = []
-            for (ident, group) in step.results:
-                child = branch.clone(ident)
-                for new in group:
-                    child.add(new, tableau.key_of)
-                children.append(child)
-                by_ident[ident] = child
-            order[position:position + 1] = [c.ident for c in children]
-            del by_ident[step.branch]
     recorded = dict(proof.witnesses)
-    for ident in order:
-        branch = by_ident[ident]
-        if branch.is_open or recorded.get(ident) != branch.closed:
-            return False
-    return True
+    return all(not b.is_open and recorded.get(b.ident) == b.closed
+               for b in tableau.branches)
 
 
 def branch_size_bound(s: Sequent) -> int:

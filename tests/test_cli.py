@@ -217,6 +217,12 @@ def test_prove_rejects_negative_cap(capsys):
     ("transform-proof", {"logic": "BM", "lines": [
         {"formula": "p1 -> p1", "just": {"axiom": "A1"}}]},
      {"keying": "raw", "entries": [{"seq": "c", "atom": 1}]}),
+    ("check-proof", {"logic": "BM", "lines": [
+        {"formula": "p1 -> p1", "just": {"axiom": ["A1"]}}]}, None),
+    ("check-proof", {"logic": "BM", "lines": [
+        {"formula": "p1 -> p1", "just": {"axiom": "A1"}},
+        {"formula": "(p1 -> p1) & (p1 -> p1)",
+         "just": {"rule": ["R1"], "from": [1]}}]}, None),
 ])
 def test_malformed_json_exits_2(tmp_path, capsys, command, proof, table):
     proof_file = tmp_path / "proof.json"

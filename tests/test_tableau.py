@@ -1,6 +1,8 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from lericone import (Assignment, Sequent, brute_consequence, decide,
                       evaluate, falsifies, parse, parse_sequent)
 from lericone.generate import exhaustive_formulas, random_formula
@@ -66,7 +68,6 @@ def test_prove_examples():
 
 
 def test_extract_countermodel_requires_saturated_open_branch():
-    import pytest
     t = saturate(initial_tableau(formula_sequent("p1 -> p1")))
     with pytest.raises(ValueError):
         extract_countermodel(t.branches[0], "plain", formula_sequent("p1 -> p1"))
@@ -158,13 +159,51 @@ def test_closed_proofs_replay():
             count += 1
             assert replay(result.proof)
             if result.proof.steps:
-                tampered = replace(
-                    result.proof,
-                    steps=(replace(result.proof.steps[0],
-                                   triple=Triple("nnnn", 1, F("p1 & p1"))),)
-                    + result.proof.steps[1:])
-                assert not replay(tampered)
+                first = result.proof.steps[0]
+                (ident, added), *rest = first.results
+                wrong = (Triple("nnnn", 1, F("p1")),) + added[1:]
+                for tampered_step in (
+                        replace(first, triple=Triple("nnnn", 1, F("p1 & p1"))),
+                        replace(first, rule="Positive Negation Rule"),
+                        replace(first, results=((ident, wrong), *rest))):
+                    tampered = replace(result.proof,
+                                       steps=(tampered_step,) + result.proof.steps[1:])
+                    assert not replay(tampered)
     assert count >= 30
+
+
+def test_prove_stops_at_the_verdict():
+    """prove agrees with a full saturation: same verdict, the countermodel of
+    its first open branch, and for valid sequents the same steps."""
+    rng = random.Random(151)
+    for _ in range(500):
+        premises = tuple(random_formula(rng, (1, 2, 3), rng.randint(0, 5))
+                         for _ in range(rng.randint(0, 2)))
+        s = Sequent(premises, random_formula(rng, (1, 2, 3), rng.randint(0, 6)))
+        for mode in ("plain", "faithful"):
+            result = prove(s, mode)
+            full = saturate(initial_tableau(s, mode))
+            open_branches = [b for b in full.branches if b.is_open]
+            assert result.status == ("invalid" if open_branches else "valid")
+            if open_branches:
+                assert result.countermodel == extract_countermodel(
+                    open_branches[0], mode, s)
+                assert len(result.tableau.steps) <= len(full.steps)
+            else:
+                assert result.proof.steps == tuple(full.steps)
+
+
+@pytest.mark.parametrize("mode", ["plain", "faithful"])
+@pytest.mark.parametrize("text, proved, saturated", [
+    ("p1 | (p2 & p3) |- p4", 1, 2),
+    ("p1 | p2 |- p1 & (p3 | p4)", 3, 5),
+])
+def test_prove_step_counts(mode, text, proved, saturated):
+    s = parse_sequent(text)
+    result = prove(s, mode)
+    assert result.status == "invalid"
+    assert len(result.tableau.steps) == proved
+    assert len(saturate(initial_tableau(s, mode)).steps) == saturated
 
 
 def test_faithful_open_branches_have_consistent_closures():
