@@ -127,12 +127,18 @@ def proof_from_json(data) -> HilbertProof:
     with _decoding("proof"):
         for entry in data["lines"]:
             just = entry["just"]
-            name = just["axiom"] if "axiom" in just else just["rule"]
-            refs = () if "axiom" in just else just["from"]
-            if type(name) is not str or not all(type(i) is int for i in refs):
-                raise ValueError(f"malformed proof: bad justification {just!r}")
-            ref = (AxiomRef(name) if "axiom" in just
-                   else RuleRef(name, tuple(i - 1 for i in refs)))
+            if "axiom" in just:
+                if type(just["axiom"]) is not str:
+                    raise ValueError(f"axiom ids must be strings: {just['axiom']!r}")
+                ref = AxiomRef(just["axiom"])
+            else:
+                refs = just["from"]
+                if type(just["rule"]) is not str:
+                    raise ValueError(f"rule ids must be strings: {just['rule']!r}")
+                if not all(type(i) is int for i in refs):
+                    raise ValueError(f"premise references must be line numbers: "
+                                     f"{refs!r}")
+                ref = RuleRef(just["rule"], tuple(i - 1 for i in refs))
             lines.append(ProofLine(parse(entry["formula"]), ref))
         return HilbertProof(data["logic"], tuple(lines))
 

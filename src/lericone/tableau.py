@@ -64,8 +64,9 @@ class Branch:
     _by_key: dict = field(default_factory=dict)  # ((key_seq, formula), sign) -> Triple
 
     def clone(self, new_ident: int) -> "Branch":
-        return Branch(new_ident, list(self.triples), set(self.members),
-                      self.processed, self.closed, dict(self._by_key))
+        child = Branch(new_ident, list(self.triples), set(self.members),
+                       self.processed, self.closed, dict(self._by_key))
+        return child
 
     def add(self, triple: Triple, key_of) -> None:
         """Insert with per-branch dedup and an eager closure check on
@@ -102,7 +103,6 @@ class Tableau:
     branches: list
     next_ident: int = 0
     steps: list = field(default_factory=list)
-    cursor: int = 0  # index of the leftmost branch not known to be finished
     key_of: object = field(init=False, repr=False)  # the mode's closure key
 
     def __post_init__(self) -> None:
@@ -186,17 +186,9 @@ def initial_tableau(s: Sequent, mode: str = "plain") -> Tableau:
     return tableau
 
 
-def _frontier(tableau: Tableau) -> Optional[Branch]:
-    """The leftmost open branch at or after the cursor, which moves past
-    closed ones.  Branches before the cursor are closed or saturated, and
-    expansion only touches the branch it expands, so they never change."""
-    branches = tableau.branches
-    while tableau.cursor < len(branches):
-        branch = branches[tableau.cursor]
-        if branch.is_open:
-            return branch
-        tableau.cursor += 1
-    return None
+def _leftmost_open(tableau: Tableau) -> Optional[int]:
+    """Position of the leftmost open branch, or None when all are closed."""
+    return next((i for i, b in enumerate(tableau.branches) if b.is_open), None)
 
 
 def _apply(tableau: Tableau, position: int, triple: Triple) -> RuleApplication:
@@ -224,12 +216,10 @@ def _apply(tableau: Tableau, position: int, triple: Triple) -> RuleApplication:
 def expand_step(tableau: Tableau) -> bool:
     """Apply one rule to the oldest unprocessed triple on the leftmost
     open branch; returns False when every branch is saturated or closed."""
-    while (branch := _frontier(tableau)) is not None:
-        triple = branch.next_unprocessed()
-        if triple is not None:
-            _apply(tableau, tableau.cursor, triple)
+    for position, branch in enumerate(tableau.branches):
+        if branch.is_open and (triple := branch.next_unprocessed()) is not None:
+            _apply(tableau, position, triple)
             return True
-        tableau.cursor += 1
     return False
 
 
@@ -268,12 +258,13 @@ def prove(s: Sequent, mode: str = "plain") -> TableauResult:
     its right may be left unexpanded.  :func:`saturate` expands everything.
     """
     tableau = initial_tableau(s, mode)
-    while (branch := _frontier(tableau)) is not None:
+    while (position := _leftmost_open(tableau)) is not None:
+        branch = tableau.branches[position]
         triple = branch.next_unprocessed()
         if triple is None:
             model = extract_countermodel(branch, mode, s)
             return TableauResult("invalid", None, model, tableau)
-        _apply(tableau, tableau.cursor, triple)
+        _apply(tableau, position, triple)
     witnesses = tuple((b.ident, b.closed) for b in tableau.branches)
     proof = TableauProof(s, mode, tuple(tableau.steps), witnesses)
     return TableauResult("valid", proof, None, tableau)
@@ -281,16 +272,17 @@ def prove(s: Sequent, mode: str = "plain") -> TableauResult:
 
 def replay(proof: TableauProof) -> bool:
     """Re-run the recorded rule applications from the initial tableau and
-    confirm they are legal, reproduce the same additions and branch names,
-    and close every branch with the recorded witnesses."""
+    confirm that each expands the oldest unprocessed triple on the leftmost
+    open branch, as :func:`prove` does, reproduces the same additions and
+    branch names, and that every branch closes with the recorded witness."""
     tableau = initial_tableau(proof.sequent, proof.mode)
     for step in proof.steps:
-        position = next((i for i, b in enumerate(tableau.branches)
-                         if b.ident == step.branch), None)
-        if (position is None or isinstance(step.triple.formula, Atom)
-                or step.triple not in tableau.branches[position].members):
+        position = _leftmost_open(tableau)
+        if position is None:
             return False
-        if _apply(tableau, position, step.triple) != step:
+        branch = tableau.branches[position]
+        if (branch.ident != step.branch or branch.next_unprocessed() != step.triple
+                or _apply(tableau, position, step.triple) != step):
             return False
     recorded = dict(proof.witnesses)
     return all(not b.is_open and recorded.get(b.ident) == b.closed
