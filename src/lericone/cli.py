@@ -5,6 +5,10 @@ transform-proof, self-test.  Sequents on the command line separate
 premises with commas and use ``|-`` before the conclusion, e.g.
 ``"p1, p1->p2 |- p2"``.
 
+Commands annotate to check-proof compute an exit code, a JSON payload
+and text lines, and hand them to one emitter: it prints the payload
+under ``--json``, else the text.  Errors raise; :func:`main` prints them.
+
 Exit codes: 0 for valid / witness found / checks passed, 1 for invalid /
 no witness / proof rejected, 2 for errors (including any internal
 disagreement between methods under ``--method all``).
@@ -29,25 +33,37 @@ from .tableau import prove as tableau_prove
 EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_ERROR = 2
+_EPSILON = "ε"  # label of the empty sequence
 
 
 def _print_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    # A tableau proof is encoded only here: text output never builds its tree.
+    print(json.dumps(data, indent=2, sort_keys=True,
+                     default=jsonio.tableau_proof_to_json))
+
+
+def _emit(args, code: int, payload: dict, lines: list) -> int:
+    """Print ``payload`` under ``--json``, else ``lines``; return ``code``."""
+    if args.json:
+        _print_json(payload)
+    else:
+        for line in lines:
+            print(line)
+    return code
+
+
+def _compact(assignment) -> str:
+    return json.dumps(jsonio.assignment_to_json(assignment))
 
 
 def cmd_annotate(args) -> int:
     f = parse(args.formula)
-    mapping = annotate(f)
-    if args.json:
-        _print_json({"formula": render(f),
-                     "annotation": [{"path": list(path), "seq": seq,
-                                     "subformula": render(subformula_at(f, path))}
-                                    for path, seq in sorted(mapping.items())]})
-        return EXIT_VALID
-    for path, seq in sorted(mapping.items()):  # preorder, left to right
-        label = seq if seq else "ε"
-        print(f"{'  ' * len(path)}{render(subformula_at(f, path))}   [{label}]")
-    return EXIT_VALID
+    rows = [{"path": list(path), "seq": seq,
+             "subformula": render(subformula_at(f, path))}
+            for path, seq in sorted(annotate(f).items())]  # preorder
+    return _emit(args, EXIT_VALID, {"formula": render(f), "annotation": rows},
+                 [f"{'  ' * len(row['path'])}{row['subformula']}   "
+                  f"[{row['seq'] or _EPSILON}]" for row in rows])
 
 
 def _run_method(sequent, mode, method, cap):
@@ -74,37 +90,29 @@ def cmd_prove(args) -> int:
             else:
                 verdicts[method] = _run_method(sequent, args.mode, method, args.cap)
         except CapacityError as exc:
-            if args.method == "all" and method in ("brute", "skeleton"):
-                notes.append(f"{method} skipped: {exc}")
-            else:
+            if args.method != "all":
                 raise
+            notes.append(f"{method} skipped: {exc}")
     statuses = {v.status for v in verdicts.values()}
     if len(statuses) > 1:
         dump = {"sequent": render_sequent(sequent), "mode": args.mode,
                 "disagreement": {m: jsonio.verdict_to_json(v)
                                  for m, v in verdicts.items()}}
         print(json.dumps(dump, indent=2), file=sys.stderr)
-        print("error: methods disagree; see diagnostic dump", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("methods disagree; see diagnostic dump")
     primary = verdicts[methods[0]]
-    if args.json:
-        payload = jsonio.verdict_to_json(primary)
-        payload["sequent"] = render_sequent(sequent)
-        payload["mode"] = args.mode
-        payload["methods"] = sorted(verdicts)
-        if notes:
-            payload["notes"] = notes
-        if tableau_result is not None and tableau_result.proof is not None:
-            payload["proof"] = jsonio.tableau_proof_to_json(tableau_result.proof)
-        _print_json(payload)
-    else:
-        print(f"{render_sequent(sequent)}  [{args.mode}]: {primary.status}")
-        for note in notes:
-            print(f"  note: {note}")
-        if primary.countermodel is not None:
-            print("  countermodel: "
-                  + json.dumps(jsonio.assignment_to_json(primary.countermodel)))
-    return EXIT_VALID if primary.valid else EXIT_INVALID
+    shown = render_sequent(sequent)
+    payload = {**jsonio.verdict_to_json(primary), "sequent": shown,
+               "mode": args.mode, "methods": sorted(verdicts)}
+    lines = [f"{shown}  [{args.mode}]: {primary.status}"]
+    if notes:
+        payload["notes"] = notes
+        lines += [f"  note: {note}" for note in notes]
+    if tableau_result is not None and tableau_result.proof is not None:
+        payload["proof"] = tableau_result.proof
+    if primary.countermodel is not None:
+        lines.append("  countermodel: " + _compact(primary.countermodel))
+    return _emit(args, EXIT_VALID if primary.valid else EXIT_INVALID, payload, lines)
 
 
 def cmd_substitute(args) -> int:
@@ -115,52 +123,37 @@ def cmd_substitute(args) -> int:
         with open(args.table) as handle:
             sub = jsonio.substitution_from_json(json.load(handle))
     else:
-        print("error: supply --godel or --table FILE", file=sys.stderr)
-        return EXIT_ERROR
-    image = apply_lericone(sub, "", f)
-    if args.json:
-        _print_json({"input": render(f), "image": render(image)})
-    else:
-        print(render(image))
-    return EXIT_VALID
+        raise ValueError("supply --godel or --table FILE")
+    image = render(apply_lericone(sub, "", f))
+    return _emit(args, EXIT_VALID, {"input": render(f), "image": image}, [image])
 
 
 def cmd_skeleton(args) -> int:
     sequent = parse_sequent(args.sequent)
     skeleton, renaming = skeletonize(sequent, mode=args.mode, use_godel=args.godel)
-    if args.json:
-        _print_json({"skeleton": render_sequent(skeleton),
-                     "renaming": jsonio.renaming_to_json(renaming)})
-    else:
-        print(render_sequent(skeleton))
-        for (seq, atom), fresh in sorted(renaming.forward.items()):
-            label = seq if seq else "ε"
-            print(f"  p{fresh} <- (p{atom} at {label})")
-    return EXIT_VALID
+    lines = [render_sequent(skeleton)]
+    lines += [f"  p{fresh} <- (p{atom} at {seq or _EPSILON})"
+              for (seq, atom), fresh in sorted(renaming.forward.items())]
+    return _emit(args, EXIT_VALID, {"skeleton": lines[0],
+                                    "renaming": jsonio.renaming_to_json(renaming)},
+                 lines)
 
 
 def cmd_share(args) -> int:
     f = parse(args.formula)
     if not isinstance(f, Imp):
-        print("error: share expects an implication", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("share expects an implication")
     witness = lericone_sharing(f, args.mode)
     if witness is not None:
-        if args.json:
-            _print_json({"witness": jsonio.witness_to_json(witness)})
-        else:
-            print(f"shared: p{witness.atom} at {witness.sequence} "
-                  f"(mode {args.mode})")
-        return EXIT_VALID
+        return _emit(args, EXIT_VALID, {"witness": jsonio.witness_to_json(witness)},
+                     [f"shared: p{witness.atom} at {witness.sequence} "
+                      f"(mode {args.mode})"])
     certificate = certify_irrelevance(f, args.mode)
-    if args.json:
-        _print_json({"witness": None,
-                     "certificate": jsonio.assignment_to_json(certificate)})
-    else:
-        print("no shared atom under the required sequences; falsifying "
-              "assignment:")
-        print("  " + json.dumps(jsonio.assignment_to_json(certificate)))
-    return EXIT_INVALID
+    return _emit(args, EXIT_INVALID,
+                 {"witness": None,
+                  "certificate": jsonio.assignment_to_json(certificate)},
+                 ["no shared atom under the required sequences; falsifying "
+                  "assignment:", "  " + _compact(certificate)])
 
 
 def cmd_check_proof(args) -> int:
@@ -169,17 +162,13 @@ def cmd_check_proof(args) -> int:
     try:
         check_proof(proof)
     except ProofCheckError as exc:
-        if args.json:
-            _print_json({"ok": False, "error": str(exc), "line": exc.line + 1})
-        else:
-            print(f"rejected: {exc}")
-        return EXIT_INVALID
-    if args.json:
-        _print_json({"ok": True, "logic": proof.logic,
-                     "conclusion": render(proof.lines[-1].formula)})
-    else:
-        print(f"ok: proves {render(proof.lines[-1].formula)} in {proof.logic}")
-    return EXIT_VALID
+        return _emit(args, EXIT_INVALID,
+                     {"ok": False, "error": str(exc), "line": exc.line + 1},
+                     [f"rejected: {exc}"])
+    conclusion = render(proof.lines[-1].formula)
+    return _emit(args, EXIT_VALID,
+                 {"ok": True, "logic": proof.logic, "conclusion": conclusion},
+                 [f"ok: proves {conclusion} in {proof.logic}"])
 
 
 def cmd_transform_proof(args) -> int:
@@ -214,12 +203,8 @@ def main(argv=None) -> int:
     def add_mode(p):
         p.add_argument("--mode", choices=["plain", "faithful"], default="plain")
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="JSON output")
-
     p = sub.add_parser("annotate", help="print the annotated parse tree")
     p.add_argument("formula")
-    add_json(p)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("prove", help="decide a sequent")
@@ -229,7 +214,6 @@ def main(argv=None) -> int:
                    default="all")
     p.add_argument("--cap", type=int, default=24,
                    help="enumeration cap in keys (default 24)")
-    add_json(p)
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("substitute", help="apply a substitution at the root")
@@ -237,7 +221,6 @@ def main(argv=None) -> int:
     p.add_argument("--godel", action="store_true",
                    help="use the prime-power atom coding")
     p.add_argument("--table", help="substitution table JSON file")
-    add_json(p)
     p.set_defaults(func=cmd_substitute)
 
     p = sub.add_parser("skeleton", help="injective renaming per (sequence, atom) key")
@@ -245,18 +228,15 @@ def main(argv=None) -> int:
     add_mode(p)
     p.add_argument("--godel", action="store_true",
                    help="key fresh atoms by the prime-power coding")
-    add_json(p)
     p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("share", help="sharing witness or falsifying certificate")
     p.add_argument("formula")
     add_mode(p)
-    add_json(p)
     p.set_defaults(func=cmd_share)
 
     p = sub.add_parser("check-proof", help="validate a Hilbert proof file")
     p.add_argument("proof")
-    add_json(p)
     p.set_defaults(func=cmd_check_proof)
 
     p = sub.add_parser("transform-proof",
@@ -264,14 +244,14 @@ def main(argv=None) -> int:
     p.add_argument("proof")
     p.add_argument("table")
     p.add_argument("-o", "--out", help="write the transformed proof here")
-    add_json(p)
     p.set_defaults(func=cmd_transform_proof)
 
     p = sub.add_parser("self-test", help="seeded randomized cross-checks")
     p.add_argument("--seed", type=int, default=0)
-    add_json(p)
     p.set_defaults(func=cmd_self_test)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="JSON output")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

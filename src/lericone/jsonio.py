@@ -54,8 +54,10 @@ def _entries_from_json(entries, keying: str, field: str, decode) -> dict:
     repeating a key must agree, as ``seq.keyed_table`` asks of merged keys."""
     table: dict = {}
     for e in entries:
-        key = (int(e["atom"]) if keying == "plain"
-               else (e.get("seq", ""), int(e["atom"])))
+        atom = e["atom"]
+        if type(atom) is not int or atom < 1:
+            raise ValueError(f"atoms must be integers >= 1, got {atom!r}")
+        key = atom if keying == "plain" else (e.get("seq", ""), atom)
         value = decode(e[field])
         if table.setdefault(key, value) != value:
             raise ValueError(f"conflicting {field}s at {key}")
@@ -81,11 +83,17 @@ def assignment_to_json(f: Assignment) -> dict:
             "keying": f.keying, "entries": _entries_to_json(f, "value", int)}
 
 
+def _bit(x) -> int:
+    if type(x) is not int or x not in (0, 1):
+        raise ValueError(f"assignment bits must be 0 or 1, got {x!r}")
+    return x
+
+
 def assignment_from_json(data) -> Assignment:
     with _decoding("assignment"):
         keying = data.get("keying", "faithful" if data.get("faithful") else "raw")
-        table = _entries_from_json(data["entries"], keying, "value", int)
-        return Assignment(table, default=int(data.get("default", 0)), keying=keying)
+        table = _entries_from_json(data["entries"], keying, "value", _bit)
+        return Assignment(table, default=_bit(data.get("default", 0)), keying=keying)
 
 
 def verdict_to_json(v: Verdict) -> dict:

@@ -223,7 +223,10 @@ def test_prove_rejects_negative_cap(capsys):
         {"formula": "p1 -> p1", "just": {"axiom": "A1"}},
         {"formula": "(p1 -> p1) & (p1 -> p1)",
          "just": {"rule": ["R1"], "from": [1]}}]}, None),
-])
+] + [("transform-proof", {"logic": "BM", "lines": [
+        {"formula": "p1 -> p1", "just": {"axiom": "A1"}}]},
+      {"keying": "raw", "entries": [{"seq": "c", "atom": atom, "image": "p2"}]})
+     for atom in (1.7, True, "1", -3, 0)])
 def test_malformed_json_exits_2(tmp_path, capsys, command, proof, table):
     proof_file = tmp_path / "proof.json"
     proof_file.write_text(json.dumps(proof))
@@ -239,3 +242,107 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, proof, table):
 def test_deep_formula_exits_2(capsys):
     code, _, err = run(capsys, "prove", "~" * 1200 + "p1")
     assert code == 2 and "error: formula nested too deeply" in err
+
+
+def _pretty(data):
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+_CAP_NOTE = ("2 keys exceed the enumeration cap of 1, which brute force and the "
+             "skeleton method share; raise --cap or use the tableau")
+_PROOF_OK = {"logic": "B",
+             "lines": [{"formula": "~~p1 -> p1", "just": {"axiom": "A9"}}]}
+_PROOF_BAD = dict(_PROOF_OK, logic="BM")
+_P1_CERTIFICATE = {"default": 1, "faithful": False, "keying": "raw", "entries": [
+    {"seq": "c", "atom": 1, "value": 1}, {"seq": "nnc", "atom": 1, "value": 0}]}
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["annotate", "~p1 -> (p1 -> p2)"], 0,
+     "~p1 -> (p1 -> p2)   [ε]\n  ~p1   [c]\n    p1   [nc]\n"
+     "  p1 -> p2   [c]\n    p1   [lc]\n    p2   [rc]\n", ""),
+    (["annotate", "p1 -> p2", "--json"], 0, _pretty({
+        "formula": "p1 -> p2", "annotation": [
+            {"path": [], "seq": "", "subformula": "p1 -> p2"},
+            {"path": ["left"], "seq": "c", "subformula": "p1"},
+            {"path": ["right"], "seq": "c", "subformula": "p2"}]}), ""),
+    (["prove", "p1 -> ~~p1", "--cap", "1"], 1,
+     f"p1 -> ~~p1  [plain]: invalid\n"
+     f"  note: brute skipped: {_CAP_NOTE}\n"
+     f"  note: skeleton skipped: {_CAP_NOTE}\n"
+     '  countermodel: {"default": 0, "faithful": false, "keying": "raw", '
+     '"entries": [{"seq": "c", "atom": 1, "value": 1}]}\n', ""),
+    (["prove", "p1 -> ~~p1", "--cap", "1", "--json"], 1, _pretty({
+        "status": "invalid", "method": "tableau", "methods": ["tableau"],
+        "mode": "plain", "sequent": "p1 -> ~~p1",
+        "notes": [f"brute skipped: {_CAP_NOTE}", f"skeleton skipped: {_CAP_NOTE}"],
+        "countermodel": {"default": 0, "faithful": False, "keying": "raw",
+                         "entries": [{"seq": "c", "atom": 1, "value": 1}]}}), ""),
+    (["prove", "p1 |- p1", "--method", "tableau", "--json"], 0, _pretty({
+        "status": "valid", "method": "tableau", "methods": ["tableau"],
+        "mode": "plain", "sequent": "p1 |- p1",
+        "proof": {"mode": "plain", "tree": [{"closure": {
+            "positive": {"formula": "p1", "seq": "", "sign": 1},
+            "negative": {"formula": "p1", "seq": "", "sign": 0}}}]}}), ""),
+    (["substitute", "--godel", "~p1 -> p1"], 0, "~p20250 -> p54\n", ""),
+    (["substitute", "--godel", "~p1 -> p1", "--json"], 0,
+     _pretty({"input": "~p1 -> p1", "image": "~p20250 -> p54"}), ""),
+    (["skeleton", "p1 |- ~~p1"], 0,
+     "p1 |- ~~p2\n  p1 <- (p1 at ε)\n  p2 <- (p1 at nn)\n", ""),
+    (["skeleton", "p1 -> ~~p1", "--json"], 0, _pretty({
+        "skeleton": "p1 -> ~~p2", "renaming": {"mode": "plain", "entries": [
+            {"seq": "c", "atom": 1, "fresh": 1},
+            {"seq": "nnc", "atom": 1, "fresh": 2}]}}), ""),
+    (["share", "(p1 -> p2) -> (p1 -> p2)"], 0,
+     "shared: p1 at lc (mode plain)\n", ""),
+    (["share", "(p1 -> p2) -> (p1 -> p2)", "--json"], 0, _pretty({"witness": {
+        "atom": 1, "seq": "lc", "antecedent_path": ["left", "left"],
+        "consequent_path": ["right", "left"], "mode": "plain"}}), ""),
+    (["share", "p1 -> ~~p1"], 1,
+     "no shared atom under the required sequences; falsifying assignment:\n  "
+     + json.dumps(_P1_CERTIFICATE) + "\n", ""),
+    (["share", "p1 -> ~~p1", "--json"], 1,
+     _pretty({"witness": None, "certificate": _P1_CERTIFICATE}), ""),
+    (["check-proof", _PROOF_OK], 0, "ok: proves ~~p1 -> p1 in B\n", ""),
+    (["check-proof", _PROOF_OK, "--json"], 0,
+     _pretty({"ok": True, "logic": "B", "conclusion": "~~p1 -> p1"}), ""),
+    (["check-proof", _PROOF_BAD], 1,
+     "rejected: line 1: A9 is not available in BM\n", ""),
+    (["check-proof", _PROOF_BAD, "--json"], 1, _pretty({
+        "ok": False, "error": "line 1: A9 is not available in BM", "line": 1}), ""),
+    (["substitute", "p1"], 2, "", "error: supply --godel or --table FILE\n"),
+    (["share", "p1 & p2"], 2, "", "error: share expects an implication\n"),
+    (["prove", "p1 -> p1", "--broken-brute"], 2, "", json.dumps({
+        "sequent": "p1 -> p1", "mode": "plain", "disagreement": {
+            "tableau": {"status": "valid", "method": "tableau"},
+            "brute": {"status": "invalid", "method": "brute"},
+            "skeleton": {"status": "valid", "method": "skeleton"}}}, indent=2)
+     + "\nerror: methods disagree; see diagnostic dump\n"),
+])
+def test_exact_output(tmp_path, capsys, monkeypatch, argv, code, out, err):
+    """Full stdout, stderr and exit code.  A dict in argv is written to a
+    proof file; ``--broken-brute`` makes brute force dissent."""
+    if "--broken-brute" in argv:
+        from lericone import cli
+        from lericone.semantics import Verdict
+        monkeypatch.setattr(cli, "_run_method", lambda sequent, mode, method, cap:
+                            Verdict("invalid" if method == "brute" else "valid",
+                                    None, method))
+    proof_file = tmp_path / "proof.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            proof_file.write_text(json.dumps(arg))
+    argv = [str(proof_file) if isinstance(arg, dict) else arg
+            for arg in argv if arg != "--broken-brute"]
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_text_prove_builds_no_proof_tree(capsys, monkeypatch):
+    from lericone import jsonio
+
+    def refuse(proof):
+        raise AssertionError("text output encoded the tableau proof")
+
+    monkeypatch.setattr(jsonio, "tableau_proof_to_json", refuse)
+    code, out, _ = run(capsys, "prove", "p1 & p2 |- p1")
+    assert code == 0 and out == "p1 & p2 |- p1  [plain]: valid\n"

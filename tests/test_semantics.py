@@ -35,9 +35,13 @@ def test_assignment_values_must_be_bits():
     for keying, key in (("raw", ("c", 1)), ("faithful", ("c", 1)), ("plain", 1)):
         with pytest.raises(ValueError, match="bits"):
             Assignment({key: 2}, keying=keying)
-    with pytest.raises(ValueError, match="bits"):
-        assignment_from_json({"default": 0, "keying": "raw",
-                              "entries": [{"seq": "c", "atom": 1, "value": 2}]})
+    for value in (2, 1.7, True):
+        with pytest.raises(ValueError, match="bits"):
+            assignment_from_json({"default": 0, "keying": "raw", "entries": [
+                {"seq": "c", "atom": 1, "value": value}]})
+    for default in ("1", 1.5, True):
+        with pytest.raises(ValueError, match="bits"):
+            assignment_from_json({"default": default, "keying": "raw", "entries": []})
 
 
 def test_relevant_domain_examples():
