@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

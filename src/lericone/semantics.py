@@ -15,10 +15,12 @@ Three deciders are provided: exhaustive enumeration over the sequent's
 finite key domain (``brute_consequence``), classical truth tables
 (``classical_valid``), and reduction to the classical check through a
 skeleton with countermodel pull-back (``decide``).  Brute force and the
-classical check run one kernel, ``_first_falsifier``, which evaluates every
-row at once on packed truth columns; they differ only in the keys it
-enumerates.  Both therefore share the enumeration cap, and so does the
-skeleton method, which enumerates the skeleton's atoms.  The scalar
+classical check run one kernel, ``_first_falsifier``, which evaluates rows
+in blocks of 2^16 on packed truth columns and stops at the first block
+holding a falsifying row; they differ only in the keys it enumerates.
+Both therefore share the enumeration cap, and so does the skeleton
+method, which enumerates the skeleton's atoms.  Time doubles per key up
+to the cap; memory does not grow with it.  The scalar
 ``evaluate`` shares only the traversal with the kernel, so countermodel
 checks stay an independent cross-check of the deciders.
 """
@@ -42,7 +44,8 @@ __all__ = [
 
 class CapacityError(Exception):
     """Enumeration domain above the cap; brute force and the skeleton
-    method share the cap, the tableau has none."""
+    method share the cap, the tableau has none.  Rows run in fixed-size
+    blocks, so the cap bounds time (doubling per key), not memory."""
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,9 @@ def falsifies(f: Assignment, s: Sequent) -> bool:
             and evaluate(f, "", s.conclusion) == 0)
 
 
+_BLOCK_WIDTH = 16  # rows per kernel block: 2^16, one 8 KiB integer per column
+
+
 def _column_masks(width: int) -> tuple:
     """Truth columns for width keys over all 2^width rows, packed into
     integers: bit r of column i is key i's value in row r, with the first
@@ -130,8 +136,10 @@ def _first_falsifier(s: Sequent, keys: list, column, cap: int) -> Optional[dict]
     ``column(seq, atom)`` names the key an atom occurrence at ``seq``
     reads.  The first key is the most significant bit of the row index and
     rows run in binary counting order, so the reported row is
-    schedule-independent.  All rows are evaluated at once on packed truth
-    columns.
+    schedule-independent.  Rows run in blocks of 2^``_BLOCK_WIDTH``: the
+    last keys take packed truth columns, the keys above them are constant
+    in a block, and the search stops at the first falsifying block, so the
+    cap bounds time, not memory.
     """
     if len(keys) > cap:
         raise CapacityError(
@@ -139,20 +147,27 @@ def _first_falsifier(s: Sequent, keys: list, column, cap: int) -> Optional[dict]
             "brute force and the skeleton method share; raise --cap or use "
             "the tableau")
     width = len(keys)
-    columns, full = _column_masks(width)
-    table = dict(zip(keys, columns))
+    low = min(width, _BLOCK_WIDTH)
+    high = width - low
+    columns, full = _column_masks(low)
+    table = dict(zip(keys[high:], columns))
 
     def leaf(seq: str, atom: int) -> int:
         return table[column(seq, atom)]
 
     ops = (full.__xor__, and_, or_, lambda x, y: (full ^ x) | y)
-    falsified = full ^ fold(s.conclusion, "", leaf, *ops)
-    for premise in s.premises:
-        falsified &= fold(premise, "", leaf, *ops)
-    if falsified == 0:
-        return None
-    row = (falsified & -falsified).bit_length() - 1
-    return {keys[i]: (row >> (width - 1 - i)) & 1 for i in range(width)}
+    for block in range(1 << high):
+        for i, key in enumerate(keys[:high]):
+            table[key] = full if (block >> (high - 1 - i)) & 1 else 0
+        falsified = full ^ fold(s.conclusion, "", leaf, *ops)
+        for premise in s.premises:
+            if not falsified:
+                break
+            falsified &= fold(premise, "", leaf, *ops)
+        if falsified:
+            row = block << low | ((falsified & -falsified).bit_length() - 1)
+            return {keys[i]: (row >> (width - 1 - i)) & 1 for i in range(width)}
+    return None
 
 
 def brute_consequence(s: Sequent, mode: str = "plain", cap: int = 24) -> Verdict:

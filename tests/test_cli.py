@@ -189,6 +189,17 @@ def test_method_disagreement_exits_2_with_dump(capsys, monkeypatch):
     assert "brute" in captured.err  # the dump names the dissenting method
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    from lericone import cli
+
+    def exhausted(sequent, mode, method, cap):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_run_method", exhausted)
+    code, out, err = run(capsys, "prove", "p1 -> p1")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_prove_over_cap_falls_back_to_tableau(capsys):
     wide = " | ".join(f"(p{i} -> p{i + 1})" for i in range(2, 28, 2))
     code, out, _ = run(capsys, "prove", f"(p1 -> p2) -> ({wide})", "--json")

@@ -5,7 +5,7 @@ import pytest
 from lericone import (Assignment, CapacityError, Sequent, apply_lericone,
                       brute_consequence, bullet, classical_valid, decide,
                       domain_keys, evaluate, falsifies, parse, parse_sequent,
-                      relevant_domain)
+                      relevant_domain, semantics)
 from lericone.generate import (exhaustive_formulas, random_formula,
                                random_sequence, random_substitution)
 
@@ -198,19 +198,20 @@ def test_plain_valid_implies_faithful_valid():
             assert brute_consequence(s, "faithful").valid
 
 
-def test_first_falsifier_is_lexicographically_first():
-    s = formula_sequent("p1 -> ~~p1")
-    verdict = brute_consequence(s)
-    keys = sorted(relevant_domain(s))
-    found = None
-    for vector in range(1 << len(keys)):
-        bits = {keys[i]: (vector >> (len(keys) - 1 - i)) & 1
-                for i in range(len(keys))}
-        candidate = Assignment(bits, default=0)
-        if falsifies(candidate, s):
-            found = bits
-            break
-    assert verdict.countermodel.entries == found
+def test_first_falsifier_is_lexicographically_first(monkeypatch):
+    for block_width in (1, 2, 16):  # 2-6 keys over one block or many
+        monkeypatch.setattr(semantics, "_BLOCK_WIDTH", block_width)
+        for text in ("p1 -> ~~p1", "(p1 -> p2) -> (p3 | ~p1)",
+                     "p2 & ~~p3 |- (p1 -> p3) | ~p2",
+                     "p3, ~(p1 & p2) |- (~~p1 -> p2) & (p3 -> ~p4)"):
+            s = parse_sequent(text)
+            for mode in ("plain", "faithful"):
+                verdict = brute_consequence(s, mode)
+                countermodel = verdict.countermodel
+                assert (verdict.status, countermodel and countermodel.entries) \
+                    == scalar_brute(s, mode)
+    assert brute_consequence(formula_sequent("p1 -> ~~p1")).countermodel.entries \
+        == {("c", 1): 1, ("nnc", 1): 0}
 
 
 def scalar_brute(s, mode):
@@ -231,15 +232,91 @@ def scalar_brute(s, mode):
     return "valid", None
 
 
-def test_brute_matches_scalar_enumeration():
+def scalar_classical(s):
+    """Row-at-a-time classical truth table; oracle for ``classical_valid``."""
+    atoms = sorted({key[1] for key in relevant_domain(s)})
+    for vector in range(1 << len(atoms)):
+        bits = {atoms[i]: (vector >> (len(atoms) - 1 - i)) & 1
+                for i in range(len(atoms))}
+        if falsifies(Assignment(bits, default=1, keying="plain"), s):
+            return "invalid", bits
+    return "valid", None
+
+
+def test_brute_matches_scalar_enumeration(monkeypatch):
     rng = random.Random(37)
+    cases = []
     for _ in range(120):
         premises = tuple(random_formula(rng, (1, 2), rng.randint(0, 3))
                          for _ in range(rng.randint(0, 2)))
-        s = Sequent(premises, random_formula(rng, (1, 2, 3), rng.randint(0, 5)))
-        for mode in ("plain", "faithful"):
-            verdict = brute_consequence(s, mode)
-            status, entries = scalar_brute(s, mode)
-            assert verdict.status == status
-            if entries is not None:
-                assert verdict.countermodel.entries == entries
+        cases.append(Sequent(premises,
+                             random_formula(rng, (1, 2, 3), rng.randint(0, 5))))
+    skeleton = {}
+    # blocks of 2 and 4 rows make the search over 1-9 keys cross many blocks
+    for block_width in (16, 1, 2):
+        monkeypatch.setattr(semantics, "_BLOCK_WIDTH", block_width)
+        for index, s in enumerate(cases):
+            classical = classical_valid(s)
+            assert (classical.status, classical.countermodel
+                    and classical.countermodel.entries) == scalar_classical(s)
+            for mode in ("plain", "faithful"):
+                verdict = brute_consequence(s, mode)
+                status, entries = scalar_brute(s, mode)
+                assert verdict.status == status
+                if entries is not None:
+                    assert verdict.countermodel.entries == entries
+                decided = decide(s, mode)
+                assert decided.status == status
+                # the skeleton method's countermodel is the 16-wide one
+                assert skeleton.setdefault((index, mode), decided) == decided
+
+
+def literal_sequent(antecedent, consequent):
+    """``(a1 & ... & am) -> (b1 | ... | bk)`` over the given literal texts."""
+    return formula_sequent(
+        f"({' & '.join(antecedent)}) -> ({' | '.join(consequent)})")
+
+
+@pytest.mark.parametrize("m", [1, 7, 13, 19])
+def test_literal_falsifier_in_a_late_block(m):
+    # 20 keys, 16 of them in a block: p1 is in the antecedent, so the only
+    # falsifier sets the first key to 1 and lies in the upper half of blocks
+    others = list(range(2, 21))
+    random.Random(m).shuffle(others)
+    antecedent, consequent = [1] + others[:m - 1], others[m - 1:]
+    s = literal_sequent([f"p{a}" for a in antecedent],
+                        [f"p{b}" for b in consequent])
+    expected = {**{("c", a): 1 for a in antecedent},
+                **{("c", b): 0 for b in consequent}}
+    for mode in ("plain", "faithful"):
+        for verdict in (brute_consequence(s, mode), decide(s, mode)):
+            assert verdict.status == "invalid"
+            assert verdict.countermodel.entries == expected
+
+
+def test_crossed_literal_sequent_is_faithful_valid():
+    # p1 and ~~p1 read one faithful key (20 keys) but two raw ones (21)
+    s = literal_sequent([f"p{a}" for a in range(1, 20)], ["~~p1", "~~p20"])
+    for verdict in (brute_consequence(s, "faithful"), decide(s, "faithful")):
+        assert verdict.valid
+    expected = {**{("c", a): 1 for a in range(1, 20)},
+                ("nnc", 1): 0, ("nnc", 20): 0}
+    for verdict in (brute_consequence(s), decide(s)):
+        assert verdict.status == "invalid"
+        assert verdict.countermodel.entries == expected
+
+
+@pytest.mark.parametrize("keys", [24, 26])
+def test_enumeration_memory_is_flat_in_the_cap(keys):
+    import tracemalloc
+    half = keys // 2
+    s = literal_sequent([f"p{a}" for a in range(1, half + 1)],
+                        [f"p{b}" for b in range(half + 1, keys + 1)])
+    tracemalloc.start()
+    try:
+        assert brute_consequence(s, cap=keys).status == "invalid"
+        assert decide(s, "faithful", cap=keys).status == "invalid"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # 2^24 rows as whole packed columns peak near 62 MiB
