@@ -22,11 +22,11 @@ import sys
 
 from . import jsonio
 from .formula import (Imp, ParseError, parse, parse_sequent, render,
-                      render_sequent, subformula_at)
+                      render_sequent)
 from .hilbert import ProofCheckError, check_proof, transform_proof
 from .relevance import certify_irrelevance, lericone_sharing
 from .semantics import CapacityError, brute_consequence, decide
-from .seq import annotate
+from .seq import occurrences
 from .substitution import apply_lericone, godel_substitution, skeletonize
 from .tableau import prove as tableau_prove
 
@@ -58,9 +58,8 @@ def _compact(assignment) -> str:
 
 def cmd_annotate(args) -> int:
     f = parse(args.formula)
-    rows = [{"path": list(path), "seq": seq,
-             "subformula": render(subformula_at(f, path))}
-            for path, seq in sorted(annotate(f).items())]  # preorder
+    rows = [{"path": list(path), "seq": seq, "subformula": render(node)}
+            for path, node, seq in occurrences(f)]  # preorder
     return _emit(args, EXIT_VALID, {"formula": render(f), "annotation": rows},
                  [f"{'  ' * len(row['path'])}{row['subformula']}   "
                   f"[{row['seq'] or _EPSILON}]" for row in rows])

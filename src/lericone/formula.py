@@ -7,7 +7,10 @@ conditional is right-associative, the lattice connectives left-associative.
 
 Subformula occurrences are addressed by paths: tuples of child selectors,
 ``"only"`` for the child of a negation and ``"left"``/``"right"`` for the
-children of binary nodes.  The empty path addresses the root.
+children of binary nodes.  The empty path addresses the root.  Occurrence
+addressing is delegated to ``seq.occurrences`` (the walk over every path)
+and ``seq.locate`` (the descent along one); ``seq`` imports this module,
+so the functions here import those two when called.
 """
 
 from __future__ import annotations
@@ -96,9 +99,9 @@ class _Parser:
         and := unary ("&" unary)* ; unary := "~" unary | "p" DIGITS | "(" formula ")"
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -161,9 +164,8 @@ class _Parser:
                          self.pos, ("~", "(", "p<digits>"))
 
 
-def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; raises ParseError with offsets."""
-    p = _Parser(text)
+def _parse_from(text: str, pos: int) -> Formula:
+    p = _Parser(text, pos)
     node = p.formula()
     p.skip_ws()
     if p.pos != len(text):
@@ -171,13 +173,30 @@ def parse(text: str) -> Formula:
     return node
 
 
+def parse(text: str) -> Formula:
+    """Parse concrete syntax into a Formula; raises ParseError with offsets."""
+    return _parse_from(text, 0)
+
+
 def parse_sequent(text: str) -> Sequent:
-    """Parse ``A1, ..., An |- B``; a bare formula is a premise-free sequent."""
-    if "|-" in text:
-        left, right = text.split("|-", 1)
-        premises = tuple(parse(part) for part in left.split(",") if part.strip())
-        return Sequent(premises, parse(right))
-    return Sequent((), parse(text))
+    """Parse ``A1, ..., An |- B``; a bare formula, or nothing before
+    ``|-``, is a premise-free sequent.  An empty premise between commas is a
+    ParseError, and every ParseError offset counts from the start of
+    ``text``."""
+    turnstile = text.find("|-")
+    if turnstile < 0:
+        return Sequent((), parse(text))
+    left = text[:turnstile]
+    premises = []
+    if left.strip():
+        start = 0
+        for part in left.split(","):
+            end = start + len(part)
+            if not part.strip():
+                raise ParseError("empty premise", end)
+            premises.append(_parse_from(text[:end], start))
+            start = end + 1
+    return Sequent(tuple(premises), _parse_from(text, turnstile + 2))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -218,48 +237,21 @@ def render_sequent(s: Sequent) -> str:
 # -- occurrence addressing ---------------------------------------------------
 
 def subformula_at(f: Formula, path: OccurrencePath) -> Formula:
-    node = f
-    for depth, selector in enumerate(path):
-        if isinstance(node, Neg) and selector == "only":
-            node = node.child
-        elif isinstance(node, (And, Or, Imp)) and selector == "left":
-            node = node.left
-        elif isinstance(node, (And, Or, Imp)) and selector == "right":
-            node = node.right
-        else:
-            raise PathError(
-                f"selector {selector!r} at depth {depth} does not fit "
-                f"a {type(node).__name__} node", selector, depth)
-    return node
+    from .seq import locate
+    return locate(f, path)[0]
 
 
 def all_paths(f: Formula) -> Iterator[tuple]:
     """Every valid path of f, root first, left to right."""
-    yield ()
-    if isinstance(f, Neg):
-        for sub in all_paths(f.child):
-            yield ("only",) + sub
-    elif isinstance(f, (And, Or, Imp)):
-        for sub in all_paths(f.left):
-            yield ("left",) + sub
-        for sub in all_paths(f.right):
-            yield ("right",) + sub
+    from .seq import occurrences
+    return (path for path, _, _ in occurrences(f))
 
 
 def atom_occurrences(f: Formula) -> list:
     """All (path, atom index) pairs in left-to-right order."""
-    out: list = []
-    stack = [((), f)]
-    while stack:
-        path, node = stack.pop()
-        if isinstance(node, Atom):
-            out.append((path, node.index))
-        elif isinstance(node, Neg):
-            stack.append((path + ("only",), node.child))
-        else:
-            stack.append((path + ("right",), node.right))
-            stack.append((path + ("left",), node.left))
-    return out
+    from .seq import occurrences
+    return [(path, node.index) for path, node, _ in occurrences(f)
+            if type(node) is Atom]
 
 
 def atoms_of(f: Formula) -> set:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Formula, Imp, Sequent, atom_occurrences, atoms_of, render
+from .formula import Atom, Formula, Imp, Sequent, atoms_of, render
 from .semantics import Assignment, evaluate
-from .seq import keying_of, lrcn, polarity, table_key
+from .seq import keying_of, occurrences, polarity, table_key
 from .substitution import skeletonize
 
 __all__ = [
@@ -50,16 +50,16 @@ def lericone_sharing(imp: Formula, mode: str = "plain") -> Optional[SharingWitne
     # occurrence sequences inside an implication end in c, where the
     # faithful key is the reduct
     key_for = table_key(keying_of(mode))
+    sides: dict = {"left": [], "right": []}
+    for path, node, seq in occurrences(imp):
+        if type(node) is Atom:
+            sides[path[0]].append((key_for(seq, node.index), path, node.index))
     consequent_index: dict = {}
-    for path, atom in atom_occurrences(imp.right):
-        full = ("right",) + path
-        key = key_for(lrcn(imp, full), atom)
-        consequent_index.setdefault(key, full)
-    for path, atom in atom_occurrences(imp.left):
-        full = ("left",) + path
-        key = key_for(lrcn(imp, full), atom)
+    for key, path, _ in sides["right"]:
+        consequent_index.setdefault(key, path)
+    for key, path, atom in sides["left"]:
         if key in consequent_index:
-            return SharingWitness(atom, full, consequent_index[key], key[0], mode)
+            return SharingWitness(atom, path, consequent_index[key], key[0], mode)
     return None
 
 
@@ -77,19 +77,18 @@ def make_h(a: Formula, b: Formula, mode: str = "plain") -> Assignment:
     if shared is not None:
         raise ValueError(f"sides share atom p{shared}; no falsifier of this "
                          "shape exists")
-    imp = Imp(a, b)
     entries: dict = {}
-    for side, prefix in ((a, "left"), (b, "right")):
-        for path, atom in atom_occurrences(side):
-            seq = lrcn(imp, (prefix,) + path)
-            # occurrence sequences inside an implication always end in c;
-            # polarity is read off the c-free prefix
-            sign = polarity(seq[:-1])
-            if side is a:
-                bit = 1 if sign == "positive" else 0
-            else:
-                bit = 0 if sign == "positive" else 1
-            entries[(seq, atom)] = bit
+    for path, node, seq in occurrences(Imp(a, b)):
+        if type(node) is not Atom:
+            continue
+        # occurrence sequences inside an implication always end in c;
+        # polarity is read off the c-free prefix
+        sign = polarity(seq[:-1])
+        if path[0] == "left":
+            bit = 1 if sign == "positive" else 0
+        else:
+            bit = 0 if sign == "positive" else 1
+        entries[(seq, node.index)] = bit
     return Assignment(entries, default=1, keying=keying)
 
 

@@ -12,6 +12,12 @@ Every traversal that tracks sequences (annotation, evaluation, the
 enumeration kernel, substitution, skeletons and the tableau rules) goes
 through one of the two.
 
+Occurrence paths are walked here and nowhere else: ``occurrences`` yields
+every ``(path, node, sequence)`` of a formula, and ``locate`` descends one
+path.  ``lrcn`` and ``annotate`` below, and ``formula``'s
+``subformula_at``, ``all_paths``, ``atom_occurrences`` and ``size``, are
+expressions over the two.
+
 Besides the annotation map itself the module provides:
 
 * ``c_transform`` - rewrites an outermost ``l``/``r`` step into ``c``,
@@ -33,12 +39,13 @@ Besides the annotation map itself the module provides:
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .formula import Atom, Formula, Imp, Neg, OccurrencePath, Or, PathError
 
 __all__ = [
-    "SYMBOLS", "validate_seq", "children", "fold", "lrcn", "annotate",
+    "SYMBOLS", "validate_seq", "children", "fold", "occurrences", "locate",
+    "lrcn", "annotate",
     "c_transform", "reduct", "equivalent", "faithful_key", "keying_of",
     "table_key", "keyed_table", "KeyedTable", "polarity",
 ]
@@ -102,10 +109,24 @@ def fold(a: Formula, seq: str, leaf, neg, conj, disj, imp):
               fold(a.right, seq, leaf, neg, conj, disj, imp))
 
 
-def lrcn(root: Formula, path: OccurrencePath) -> str:
-    """Sequence of the occurrence addressed by ``path`` in ``root``."""
-    node = root
-    seq = ""
+def occurrences(root: Formula) -> Iterator[tuple]:
+    """Every occurrence in ``root`` as ``(path, node, sequence)``, in
+    preorder, left to right, which is ``sorted`` order of the paths.
+
+    An explicit stack, so any depth is walked without recursion.
+    """
+    stack = [((), root, "")]
+    while stack:
+        path, node, seq = stack.pop()
+        yield path, node, seq
+        for selector, child, child_seq in reversed(children(node, seq)):
+            stack.append((path + (selector,), child, child_seq))
+
+
+def locate(root: Formula, path: OccurrencePath) -> tuple:
+    """``(node, sequence)`` of the occurrence addressed by ``path`` in
+    ``root``; a selector that does not fit raises ``PathError``."""
+    node, seq = root, ""
     for depth, selector in enumerate(path):
         for step, child, child_seq in children(node, seq):
             if step == selector:
@@ -114,19 +135,17 @@ def lrcn(root: Formula, path: OccurrencePath) -> str:
         else:
             raise PathError(f"selector {selector!r} at depth {depth} does not "
                             f"fit a {type(node).__name__} node", selector, depth)
-    return seq
+    return node, seq
+
+
+def lrcn(root: Formula, path: OccurrencePath) -> str:
+    """Sequence of the occurrence addressed by ``path`` in ``root``."""
+    return locate(root, path)[1]
 
 
 def annotate(root: Formula) -> dict:
     """Total map from every path of ``root`` to its sequence."""
-    out: dict = {}
-    stack = [((), root, "")]
-    while stack:
-        path, node, seq = stack.pop()
-        out[path] = seq
-        for selector, child, child_seq in children(node, seq):
-            stack.append((path + (selector,), child, child_seq))
-    return out
+    return {path: seq for path, _, seq in occurrences(root)}
 
 
 def c_transform(seq: str) -> str:

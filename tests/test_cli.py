@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lericone.cli import main
 
@@ -329,6 +330,7 @@ _P1_CERTIFICATE = {"default": 1, "faithful": False, "keying": "raw", "entries": 
             "brute": {"status": "invalid", "method": "brute"},
             "skeleton": {"status": "valid", "method": "skeleton"}}}, indent=2)
      + "\nerror: methods disagree; see diagnostic dump\n"),
+    (["prove", "p1, , p2 |- p1"], 2, "", "error: at offset 4: empty premise\n"),
 ])
 def test_exact_output(tmp_path, capsys, monkeypatch, argv, code, out, err):
     """Full stdout, stderr and exit code.  A dict in argv is written to a
@@ -357,3 +359,68 @@ def test_text_prove_builds_no_proof_tree(capsys, monkeypatch):
     monkeypatch.setattr(jsonio, "tableau_proof_to_json", refuse)
     code, out, _ = run(capsys, "prove", "p1 & p2 |- p1")
     assert code == 0 and out == "p1 & p2 |- p1  [plain]: valid\n"
+
+
+_FUZZ_PROOF = {"logic": "BM", "lines": [
+    {"formula": "p1 -> p1", "just": {"axiom": "A1"}},
+    {"formula": "(p1 -> p1) & (p1 -> p1)", "just": {"rule": "R1", "from": [1, 1]}}]}
+_FUZZ_TABLE = {"keying": "faithful", "entries": [
+    {"seq": "c", "atom": 1, "image": "p2 & p3"},
+    {"seq": "nc", "atom": 1, "image": "~p2"}]}
+_FUZZ_WORDS = ["logic", "lines", "formula", "just", "axiom", "rule", "from",
+               "keying", "entries", "seq", "atom", "image", "B", "BM", "A1",
+               "A9", "R1", "R2", "raw", "faithful", "plain", "c", "nc", "lc",
+               "", "p1", "~p1", "p1 -> p1", "p1 &", "p0"]
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.integers() | st.floats()
+    | st.sampled_from(_FUZZ_WORDS) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_FUZZ_WORDS), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _mutated(data, doc):
+    """``doc`` with one value replaced, or one member dropped or added, at
+    a place drawn from ``data``; ``doc`` itself is left as it is."""
+    if not doc or not isinstance(doc, (dict, list)):
+        return data.draw(_FUZZ_JSON)
+    action = data.draw(st.sampled_from(["replace", "descend", "drop", "add"]))
+    if action == "replace":
+        return data.draw(_FUZZ_JSON)
+    doc = doc.copy()
+    if action == "add":
+        if isinstance(doc, dict):
+            doc[data.draw(st.sampled_from(_FUZZ_WORDS))] = data.draw(_FUZZ_JSON)
+        else:
+            doc.append(data.draw(_FUZZ_JSON))
+        return doc
+    key = data.draw(st.sampled_from(sorted(doc) if isinstance(doc, dict)
+                                    else range(len(doc))))
+    if action == "drop":
+        del doc[key]
+    else:
+        doc[key] = _mutated(data, doc[key])
+    return doc
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_json_never_escapes(tmp_path, capsys, data):
+    """Proof and table JSON with a few values replaced, dropped or added:
+    no exception leaves ``main``, and exit 1 only ever means that
+    check-proof rejected the proof."""
+    proof, table = _FUZZ_PROOF, _FUZZ_TABLE
+    for _ in range(data.draw(st.integers(0, 2))):
+        proof = _mutated(data, proof)
+    for _ in range(data.draw(st.integers(0, 2))):
+        table = _mutated(data, table)
+    proof_file, table_file = tmp_path / "proof.json", tmp_path / "table.json"
+    proof_file.write_text(json.dumps(proof))
+    table_file.write_text(json.dumps(table))
+    for argv in (["check-proof", proof_file],
+                 ["transform-proof", proof_file, table_file],
+                 ["substitute", "~p1 -> (p1 -> p2)", "--table", table_file]):
+        code, out, _ = run(capsys, *map(str, argv))
+        assert code in (0, 2) or (code == 1 and argv[0] == "check-proof"
+                                  and out.startswith("rejected:")), (argv, out)

@@ -35,6 +35,12 @@ def test_parse_errors_carry_offsets():
         parse("p1 p2")
     with pytest.raises(ParseError):
         parse("p")
+    # sequent offsets count from the start of the whole text
+    for text, position in (("p1 |- p2 &", 10), ("p1, p2 & |- p1", 9),
+                           ("p1 p2 |- p3", 3), ("p1 |- p2 |- p3", 10)):
+        with pytest.raises(ParseError) as err:
+            parse_sequent(text)
+        assert err.value.position == position
 
 
 def test_render_examples():
@@ -101,3 +107,9 @@ def test_sequent_parsing():
     assert s == Sequent((p1, Imp(p1, p2)), p2)
     assert parse_sequent("p1 -> p1") == Sequent((), Imp(p1, p1))
     assert render_sequent(s) == "p1, p1 -> p2 |- p2"
+    assert parse_sequent("|- p1") == parse_sequent(" |- p1") == Sequent((), p1)
+    for text, position in (("p1, , p2 |- p1", 4), (", |- p1", 0),
+                           ("p1, |- p1", 4), (",p1 |- p1", 0)):
+        with pytest.raises(ParseError, match="empty premise") as err:
+            parse_sequent(text)
+        assert err.value.position == position

@@ -9,10 +9,12 @@ from lericone import (Imp, annotate, atom_occurrences, c_transform,
 from lericone.generate import exhaustive_formulas, random_formula
 from lericone.relevance import certify_irrelevance, lericone_sharing, make_h
 from lericone.semantics import brute_consequence, decide
-from lericone.seq import children, validate_seq
+from lericone.formula import Atom, Neg, Sequent, all_paths, size
+from lericone.seq import children, locate, occurrences, validate_seq
 from lericone.substitution import RenamingTable, skeletonize
-from lericone.tableau import (Triple, extensions_of, extract_countermodel,
-                              initial_tableau, prove, saturate)
+from lericone.tableau import (Triple, branch_size_bound, extensions_of,
+                              extract_countermodel, initial_tableau, prove,
+                              saturate)
 
 from conftest import (F, deletion_normal_forms, fold_polarity, p3, words_up_to)
 
@@ -77,12 +79,20 @@ def test_annotate_examples():
 
 def test_annotate_agrees_with_lrcn_everywhere():
     """Every form of the sequence rule gives the same sequences: the path
-    walk, the whole-formula annotation, the fold behind domain_keys, and
-    the tableau rules."""
+    walk, the path descent, the whole-formula annotation, the fold behind
+    domain_keys, and the tableau rules."""
     rng = random.Random(11)
     for _ in range(60):
         f = random_formula(rng, (1, 2), rng.randint(0, 7))
         annotation = annotate(f)
+        walk = list(occurrences(f))
+        # preorder is sorted path order, which `annotate` output relies on
+        assert [path for path, _, _ in walk] == sorted(annotation)
+        for path, node, seq in walk:
+            found, found_seq = locate(f, path)
+            assert found is node and found_seq == seq == annotation[path]
+        assert atom_occurrences(f) == [(path, node.index) for path, node, _ in walk
+                                       if isinstance(node, Atom)]
         for path, seq in annotation.items():
             assert lrcn(f, path) == seq
         assert domain_keys(f) == {(annotation[path], atom)
@@ -101,6 +111,36 @@ def test_annotate_agrees_with_lrcn_everywhere():
                          for group in extension[1] for t in group]
                 assert added == [(child_seq, child)
                                  for _, child, child_seq in steps]
+
+
+@pytest.mark.parametrize("shape", ["negations", "conditionals"])
+def test_occurrence_addressing_is_depth_safe(shape):
+    """A 1,500-level ``~`` chain and a 1,500-long right-nested ``->`` chain,
+    built from constructors because the parser recurses, are deeper than
+    the recursion limit; every path function walks them and they agree."""
+    depth = 1500
+    if shape == "negations":
+        f = Atom(1)
+        for _ in range(depth):
+            f = Neg(f)
+        deepest = (("only",) * depth, 1, "n" * depth)
+        atoms = 1
+    else:
+        f = Atom(depth + 1)
+        for index in range(depth, 0, -1):
+            f = Imp(Atom(index), f)
+        deepest = (("right",) * depth, depth + 1, "r" * (depth - 1) + "c")
+        atoms = depth + 1
+    paths = list(all_paths(f))
+    annotation = annotate(f)
+    assert list(annotation) == paths
+    assert size(f) == len(paths) == branch_size_bound(Sequent((), f)) == depth + atoms
+    found = atom_occurrences(f)
+    assert len(found) == atoms
+    path, atom = found[-1]
+    assert (path, atom, annotation[path]) == deepest
+    assert subformula_at(f, path) == Atom(atom)
+    assert lrcn(f, path) == annotation[path]
 
 
 def test_c_transform():
