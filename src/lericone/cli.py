@@ -52,6 +52,16 @@ def _emit(args, code: int, payload: dict, lines: list) -> int:
     return code
 
 
+def _load_json(path: str):
+    """A JSON file's document; one nested too deeply to decode is a
+    ValueError, not a formula's RecursionError."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON document nested too deeply") from None
+
+
 def _compact(assignment) -> str:
     return json.dumps(jsonio.assignment_to_json(assignment))
 
@@ -119,8 +129,7 @@ def cmd_substitute(args) -> int:
     if args.godel:
         sub = godel_substitution()
     elif args.table:
-        with open(args.table) as handle:
-            sub = jsonio.substitution_from_json(json.load(handle))
+        sub = jsonio.substitution_from_json(_load_json(args.table))
     else:
         raise ValueError("supply --godel or --table FILE")
     image = render(apply_lericone(sub, "", f))
@@ -156,8 +165,7 @@ def cmd_share(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
-    with open(args.proof) as handle:
-        proof = jsonio.proof_from_json(json.load(handle))
+    proof = jsonio.proof_from_json(_load_json(args.proof))
     try:
         check_proof(proof)
     except ProofCheckError as exc:
@@ -171,10 +179,8 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_transform_proof(args) -> int:
-    with open(args.proof) as handle:
-        proof = jsonio.proof_from_json(json.load(handle))
-    with open(args.table) as handle:
-        sub = jsonio.substitution_from_json(json.load(handle))
+    proof = jsonio.proof_from_json(_load_json(args.proof))
+    sub = jsonio.substitution_from_json(_load_json(args.table))
     transformed = transform_proof(proof, sub)
     payload = jsonio.proof_to_json(transformed)
     if args.out:

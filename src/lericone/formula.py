@@ -152,7 +152,8 @@ class _Parser:
         if ch == "p":
             self.pos += 1
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            # ASCII digits only: str.isdigit also accepts "²" and "١"
+            while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
                 self.pos += 1
             if self.pos == start:
                 raise ParseError("atom needs a numeric index", self.pos, ("digit",))

@@ -19,7 +19,11 @@ modus ponens transforms its major premise with
 context with :func:`lericone.substitution.shift`, and the affixing rule
 grafts ``l`` and ``r``.  For proofs in B the substitution must be
 faithful: the A9 and R5 cases equate images at keys that differ by a
-cancelled double negation.
+cancelled double negation.  A premise used twice is restated twice in
+the output, as in the paper's construction, but each (line,
+substitution) pair is rebuilt once: later uses replay its block of
+output lines with renumbered premises.  The rebuild runs on an explicit
+stack, so proof depth meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, render
-from .substitution import apply_lericone, shift, t_of
+from .substitution import LericoneSubstitution, apply_lericone, shift, t_of
 
 __all__ = [
     "AxiomRef", "RuleRef", "ProofLine", "HilbertProof", "ProofCheckError",
@@ -219,40 +223,80 @@ def transform_proof(pr: HilbertProof, s) -> HilbertProof:
 
     Requires a checked proof; for logic B the substitution must be
     faithful, otherwise the A9 and R5 cases cannot be discharged.
+
+    Lines come out in the order of a recursive rebuild: each premise's
+    block, left to right, then the line itself.  The first visit of a
+    (line, substitution) pair computes its block; a repeat visit copies
+    it, shifting the copied premise references.  Substitutions are keyed
+    by keying and entries, and each premise's substitution is derived
+    once per (substitution, context).
     """
     check_proof(pr)
     if _LOGICS[pr.logic].faithful and not s.is_faithful:
         raise ValueError(f"transforming a {pr.logic} proof requires a "
                          "faithful substitution")
 
+    def canonical(sub):
+        # equal keys give equal images everywhere; a substitution without
+        # a finite table keys by itself
+        if isinstance(sub, LericoneSubstitution):
+            return sub.keying, frozenset(sub.entries.items())
+        return sub
+
     out: list = []
+    blocks: dict = {}  # (line, substitution key) -> its first and last output line
+    derived_subs: dict = {}  # (substitution key, context) -> (substitution, key)
+    # Each frame rebuilds one line under one substitution after its premises,
+    # left to right, as a recursive rebuild would, but with no depth limit.
+    frames: list = []
 
-    def emit(formula: Formula, just) -> int:
-        out.append(ProofLine(formula, just))
-        return len(out) - 1
+    def enter(index: int, sub, key, into: list) -> None:
+        """Open a frame rebuilding (index, key), or replay the block it got
+        before; either way its last output line is appended to ``into``."""
+        block = blocks.get((index, key))
+        if block is None:
+            frames.append((index, sub, key, len(out), [], into))
+            return
+        first, last = block
+        offset = len(out) - first
+        for line in out[first:last + 1]:
+            if isinstance(line.just, RuleRef):
+                line = ProofLine(line.formula, RuleRef(
+                    line.just.rule, tuple(ref + offset for ref in line.just.premises)))
+            out.append(line)
+        into.append(len(out) - 1)
 
-    def rec(index: int, sub) -> int:
+    enter(len(pr.lines) - 1, s, canonical(s), [])
+    while frames:
+        index, sub, key, first, premises, into = frames[-1]
         line = pr.lines[index]
-        target = apply_lericone(sub, "", line.formula)
         just = line.just
+        if isinstance(just, RuleRef) and len(premises) < len(just.premises):
+            context = _RULES[just.rule][1][len(premises)]
+            if (key, context) not in derived_subs:
+                child = context(sub)
+                derived_subs[key, context] = (
+                    child, key if child is sub else canonical(child))
+            enter(just.premises[len(premises)], *derived_subs[key, context], premises)
+            continue
+        frames.pop()
+        target = apply_lericone(sub, "", line.formula)
         if isinstance(just, AxiomRef):
             if not any(_instances(target, (just.axiom,))):
                 raise AssertionError(
                     f"image {render(target)} is not an instance of {just.axiom}; "
                     "the substitution does not respect the logic")
-            return emit(target, just)
-        conclude, contexts = _RULES[just.rule]
-        premises = []  # a loop, not a generator: one frame per proof level
-        for ref, context in zip(just.premises, contexts):
-            premises.append(rec(ref, context(sub)))
-        derived = conclude(*[out[ref].formula for ref in premises])
-        if derived != target:
-            raise AssertionError(
-                f"{just.rule} on transformed premises yields "
-                f"{render(derived) if derived else derived}, expected {render(target)}")
-        return emit(target, RuleRef(just.rule, tuple(premises)))
-
-    rec(len(pr.lines) - 1, s)
+        else:
+            derived = _RULES[just.rule][0](*[out[ref].formula for ref in premises])
+            if derived != target:
+                raise AssertionError(
+                    f"{just.rule} on transformed premises yields "
+                    f"{render(derived) if derived else derived}, "
+                    f"expected {render(target)}")
+            just = RuleRef(just.rule, tuple(premises))
+        out.append(ProofLine(target, just))
+        blocks[index, key] = (first, len(out) - 1)
+        into.append(len(out) - 1)
     result = HilbertProof(pr.logic, tuple(out))
     check_proof(result)
     return result

@@ -115,18 +115,34 @@ def renaming_to_json(table: RenamingTable) -> dict:
                         for (seq, atom), fresh in sorted(table.forward.items())]}
 
 
+def _renderer():
+    """``render`` with a memo keyed by object identity, for one document
+    whose formulas all stay alive while it is encoded."""
+    texts: dict = {}
+
+    def text(f) -> str:
+        if id(f) not in texts:
+            texts[id(f)] = render(f)
+        return texts[id(f)]
+    return text
+
+
 def proof_to_json(pr: HilbertProof) -> dict:
+    text = _renderer()
+    matches: dict = {}  # id(formula) -> match_axiom's result
     lines = []
     for line in pr.lines:
         if isinstance(line.just, AxiomRef):
-            matched = match_axiom(line.formula, pr.logic)
+            if id(line.formula) not in matches:
+                matches[id(line.formula)] = match_axiom(line.formula, pr.logic)
+            matched = matches[id(line.formula)]
             just = {"axiom": line.just.axiom}
             if matched and matched[0] == line.just.axiom:
-                just["bind"] = {name: render(g) for name, g in matched[1].items()}
+                just["bind"] = {name: text(g) for name, g in matched[1].items()}
         else:
             just = {"rule": line.just.rule,
                     "from": [i + 1 for i in line.just.premises]}
-        lines.append({"formula": render(line.formula), "just": just})
+        lines.append({"formula": text(line.formula), "just": just})
     return {"logic": pr.logic, "lines": lines}
 
 
@@ -151,30 +167,31 @@ def proof_from_json(data) -> HilbertProof:
         return HilbertProof(data["logic"], tuple(lines))
 
 
-def _triple_to_json(t: Triple) -> dict:
-    return {"seq": t.seq, "sign": t.sign, "formula": render(t.formula)}
-
-
 def tableau_proof_to_json(proof: TableauProof) -> dict:
     """Nested rule-application tree; splits carry one subtree per branch."""
+    text = _renderer()
+
+    def triple(t: Triple) -> dict:
+        return {"seq": t.seq, "sign": t.sign, "formula": text(t.formula)}
+
     root: list = []
     lists: dict = {0: root}
     for step in proof.steps:
-        node = {"triple": _triple_to_json(step.triple), "rule": step.rule}
+        node = {"triple": triple(step.triple), "rule": step.rule}
         if len(step.results) == 1:
-            node["added"] = [_triple_to_json(t) for t in step.results[0][1]]
+            node["added"] = [triple(t) for t in step.results[0][1]]
             lists[step.branch].append(node)
         else:
             node["branches"] = []
             for ident, group in step.results:
-                subtree = {"added": [_triple_to_json(t) for t in group], "steps": []}
+                subtree = {"added": [triple(t) for t in group], "steps": []}
                 node["branches"].append(subtree)
                 lists[ident] = subtree["steps"]
             lists[step.branch].append(node)
             del lists[step.branch]
     for ident, witness in proof.witnesses:
-        closure = {"positive": _triple_to_json(witness.positive),
-                   "negative": _triple_to_json(witness.negative)}
+        closure = {"positive": triple(witness.positive),
+                   "negative": triple(witness.negative)}
         if witness.common_key is not None:
             closure["common_key"] = witness.common_key
         lists[ident].append({"closure": closure})

@@ -256,6 +256,18 @@ def test_deep_formula_exits_2(capsys):
     assert code == 2 and "error: formula nested too deeply" in err
 
 
+def test_deep_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    proof = tmp_path / "proof.json"
+    proof.write_text(json.dumps({"logic": "BM", "lines": [
+        {"formula": "p1 -> p1", "just": {"axiom": "A1"}}]}))
+    for argv in (["check-proof", deep], ["transform-proof", deep, deep],
+                 ["transform-proof", proof, deep], ["substitute", "p1", "--table", deep]):
+        assert run(capsys, *map(str, argv)) == (
+            2, "", "error: JSON document nested too deeply\n")
+
+
 def _pretty(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 

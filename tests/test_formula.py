@@ -35,6 +35,13 @@ def test_parse_errors_carry_offsets():
         parse("p1 p2")
     with pytest.raises(ParseError):
         parse("p")
+    # atom indices are ASCII digits: "²" and "١" pass str.isdigit
+    for text, position, message in (("p²", 1, "atom needs a numeric index"),
+                                    ("p1²", 2, "trailing input"),
+                                    ("p1 -> p١", 7, "atom needs a numeric index")):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert err.value.position == position
     # sequent offsets count from the start of the whole text
     for text, position in (("p1 |- p2 &", 10), ("p1, p2 & |- p1", 9),
                            ("p1 p2 |- p3", 3), ("p1 |- p2 |- p3", 10)):

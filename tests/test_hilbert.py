@@ -3,11 +3,13 @@ import random
 import pytest
 
 from lericone import (And, Imp, Neg, Sequent, apply_lericone, check_proof,
-                      decide, match_axiom, parse, transform_proof,
+                      decide, match_axiom, parse, render, transform_proof,
                       LericoneSubstitution)
+from lericone import hilbert, jsonio
 from lericone.hilbert import (AxiomRef, HilbertProof, ProofCheckError,
                               ProofLine, RuleRef)
 from lericone.generate import random_proof, random_substitution
+from lericone.substitution import shift, t_of
 from lericone.relevance import lericone_sharing
 from lericone.tableau import prove
 
@@ -172,6 +174,8 @@ def test_transform_random_bm_proofs():
         out = transform_proof(pr, sigma)
         check_proof(out)
         assert out.lines[-1].formula == apply_lericone(sigma, "", pr.lines[-1].formula)
+        assert jsonio.proof_to_json(out) == jsonio.proof_to_json(
+            unmemoised_transform(pr, sigma))
 
 
 def test_transform_random_b_proofs():
@@ -183,6 +187,128 @@ def test_transform_random_b_proofs():
         out = transform_proof(pr, sigma)
         check_proof(out)
         assert out.lines[-1].formula == apply_lericone(sigma, "", pr.lines[-1].formula)
+        assert jsonio.proof_to_json(out) == jsonio.proof_to_json(
+            unmemoised_transform(pr, sigma))
+
+
+# The substitution each premise of a rule is rebuilt under (the paper's
+# transformation, written out here apart from hilbert._RULES).
+_PREMISE_SUBSTITUTIONS = {
+    "R1": (lambda s: s, lambda s: s),
+    "R2": (lambda s: s, t_of),
+    "R3": (lambda s: shift(s, "n"),),
+    "R4": (lambda s: shift(s, "l"), lambda s: shift(s, "r")),
+    "R5": (lambda s: shift(s, "n"),),
+}
+
+
+def unmemoised_transform(pr, s):
+    """Reference transformer: rebuilds every premise on every use, by
+    recursion, and states each line as the image of the original."""
+    out = []
+
+    def rebuild(index, sub):
+        just = pr.lines[index].just
+        if isinstance(just, RuleRef):
+            just = RuleRef(just.rule, tuple(
+                rebuild(ref, context(sub))
+                for ref, context in zip(just.premises, _PREMISE_SUBSTITUTIONS[just.rule])))
+        out.append(ProofLine(apply_lericone(sub, "", pr.lines[index].formula), just))
+        return len(out) - 1
+
+    rebuild(len(pr.lines) - 1, s)
+    return HilbertProof(pr.logic, tuple(out))
+
+
+def reuse_proof(logic, x, axiom, levels):
+    """The axiom x, then per level x & x by R1 from the previous line taken
+    twice, the A2 instance (x & x) -> x, and x again by R2."""
+    lines = [ProofLine(x, AxiomRef(axiom))]
+    for _ in range(levels):
+        last = len(lines) - 1
+        lines += [ProofLine(And(x, x), RuleRef("R1", (last, last))),
+                  ProofLine(Imp(And(x, x), x), AxiomRef("A2")),
+                  ProofLine(x, RuleRef("R2", (last + 1, last + 2)))]
+    return HilbertProof(logic, tuple(lines))
+
+
+@pytest.mark.parametrize("logic, x, axiom, sigma", [
+    ("BM", "p1 -> (p1 | p2)", "A3",
+     LericoneSubstitution({("c", 1): F("p3 & p4"), ("lc", 2): F("~p1"),
+                           ("rc", 1): F("p2")})),
+    ("B", "~~(p1 & p2) -> (p1 & p2)", "A9",
+     LericoneSubstitution({("c", 1): F("p3 | p4"), ("lc", 2): F("~p5")},
+                          keying="faithful")),
+])
+def test_transform_reuse_proofs_match_the_unmemoised_rebuild(logic, x, axiom, sigma,
+                                                             monkeypatch):
+    images = []
+    monkeypatch.setattr(hilbert, "apply_lericone",
+                        lambda *args: images.append(args) or apply_lericone(*args))
+    for levels, lines_out in ((4, 61), (6, 253), (8, 1021)):
+        pr = reuse_proof(logic, F(x), axiom, levels)
+        assert len(pr.lines) == 1 + 3 * levels
+        images.clear()
+        out = transform_proof(pr, sigma)
+        assert len(out.lines) == lines_out
+        # every line is reached under one substitution and imaged once
+        assert len(images) == len(pr.lines)
+        assert jsonio.proof_to_json(out) == jsonio.proof_to_json(
+            unmemoised_transform(pr, sigma))
+
+
+def r2_chain(length):
+    """p1 -> p1, then p1 -> p1 again by R2 from the line before and the A1
+    instance on line 2, until the proof has ``length`` lines."""
+    pii = F("p1 -> p1")
+    lines = [ProofLine(pii, AxiomRef("A1")), ProofLine(Imp(pii, pii), AxiomRef("A1"))]
+    lines += [ProofLine(pii, RuleRef("R2", (i - 1 if i > 2 else 0, 1)))
+              for i in range(2, length)]
+    return HilbertProof("BM", tuple(lines))
+
+
+def test_transform_has_no_depth_limit():
+    pr = r2_chain(5000)
+    check_proof(pr)
+    sigma = LericoneSubstitution({("c", 1): F("p2 & p3"), ("lc", 1): F("p4")})
+    out = transform_proof(pr, sigma)
+    assert out.lines[-1].formula == F("(p2 & p3) -> (p2 & p3)")
+    # each R2 line is rebuilt after its minor premise's rebuild and one
+    # replayed copy of the major premise
+    assert len(out.lines) == 2 * (5000 - 2) + 1
+
+
+def _per_line_proof_json(pr):
+    """proof_to_json's format, rendering and matching every line afresh."""
+    lines = []
+    for line in pr.lines:
+        if isinstance(line.just, AxiomRef):
+            just = {"axiom": line.just.axiom}
+            matched = match_axiom(line.formula, pr.logic)
+            if matched and matched[0] == line.just.axiom:
+                just["bind"] = {name: render(g) for name, g in matched[1].items()}
+        else:
+            just = {"rule": line.just.rule, "from": [i + 1 for i in line.just.premises]}
+        lines.append({"formula": render(line.formula), "just": just})
+    return {"logic": pr.logic, "lines": lines}
+
+
+def test_json_encoders_render_as_per_line_encoding(monkeypatch):
+    rng = random.Random(113)
+    proofs = [random_proof(rng, logic, steps=rng.randint(2, 9))
+              for logic in ("BM", "B") for _ in range(60)]
+    proofs += [transform_proof(reuse_proof("BM", F("p1 -> p1"), "A1", 4),
+                               random_substitution(rng, "raw"))]
+    expected = [_per_line_proof_json(pr) for pr in proofs]
+    assert [jsonio.proof_to_json(pr) for pr in proofs] == expected
+    # tableau proofs of the conclusions, which are valid in the logic's mode
+    tableaux = [prove(Sequent((), pr.lines[-1].formula),
+                      "plain" if pr.logic == "BM" else "faithful").proof
+                for pr in proofs]
+    encoded = [jsonio.tableau_proof_to_json(t) for t in tableaux]
+    # the same tableau encoder with one render call per formula occurrence
+    monkeypatch.setattr(jsonio, "_renderer", lambda: render)
+    assert [jsonio.tableau_proof_to_json(t) for t in tableaux] == encoded
 
 
 def test_generated_conclusions_are_valid_in_matching_mode():
