@@ -23,9 +23,9 @@ import sys
 from . import jsonio
 from .formula import (Imp, ParseError, parse, parse_sequent, render,
                       render_sequent)
-from .hilbert import ProofCheckError, check_proof, transform_proof
+from .hilbert import ProofCheckError, check_proof, conclusion, transform_proof
 from .relevance import certify_irrelevance, lericone_sharing
-from .semantics import CapacityError, brute_consequence, decide
+from .semantics import _DEFAULT_CAP, CapacityError, brute_consequence, decide
 from .seq import occurrences
 from .substitution import apply_lericone, godel_substitution, skeletonize
 from .tableau import prove as tableau_prove
@@ -172,10 +172,10 @@ def cmd_check_proof(args) -> int:
         return _emit(args, EXIT_INVALID,
                      {"ok": False, "error": str(exc), "line": exc.line + 1},
                      [f"rejected: {exc}"])
-    conclusion = render(proof.lines[-1].formula)
+    proved = render(conclusion(proof))
     return _emit(args, EXIT_VALID,
-                 {"ok": True, "logic": proof.logic, "conclusion": conclusion},
-                 [f"ok: proves {conclusion} in {proof.logic}"])
+                 {"ok": True, "logic": proof.logic, "conclusion": proved},
+                 [f"ok: proves {proved} in {proof.logic}"])
 
 
 def cmd_transform_proof(args) -> int:
@@ -187,7 +187,7 @@ def cmd_transform_proof(args) -> int:
         with open(args.out, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.out}: proves "
-              f"{render(transformed.lines[-1].formula)} in {transformed.logic}")
+              f"{render(conclusion(transformed))} in {transformed.logic}")
     else:
         _print_json(payload)
     return EXIT_VALID
@@ -217,8 +217,8 @@ def main(argv=None) -> int:
     add_mode(p)
     p.add_argument("--method", choices=["tableau", "brute", "skeleton", "all"],
                    default="all")
-    p.add_argument("--cap", type=int, default=24,
-                   help="enumeration cap in keys (default 24)")
+    p.add_argument("--cap", type=int, default=_DEFAULT_CAP,
+                   help="enumeration cap in keys (default %(default)s)")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("substitute", help="apply a substitution at the root")

@@ -4,6 +4,9 @@ Formulas are immutable values built from atoms ``p1, p2, ...`` (arbitrary
 precision indices, >= 1) with negation ``~``, conjunction ``&``, disjunction
 ``|`` and the conditional ``->``.  Precedence is ``~ > & > | > ->``; the
 conditional is right-associative, the lattice connectives left-associative.
+The text syntax is bounded by the interpreter's limit on integer string
+conversion (4,300 digits by default): ``parse`` rejects a longer index, and
+``render`` raises ``ValueError`` on one.
 
 Subformula occurrences are addressed by paths: tuples of child selectors,
 ``"only"`` for the child of a negation and ``"left"``/``"right"`` for the
@@ -157,7 +160,11 @@ class _Parser:
                 self.pos += 1
             if self.pos == start:
                 raise ParseError("atom needs a numeric index", self.pos, ("digit",))
-            index = int(self.text[start:self.pos])
+            try:
+                index = int(self.text[start:self.pos])
+            except ValueError:  # past the interpreter's integer string limit
+                raise ParseError("atom index too long", start,
+                                 ("fewer digits",)) from None
             if index < 1:
                 raise ParseError("atom index 0 is not allowed", start, ("index >= 1",))
             return Atom(index)

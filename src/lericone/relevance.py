@@ -8,7 +8,8 @@ exists and is constructed here: atoms reached through a positively
 signed sequence get 1 on the antecedent side and 0 on the consequent
 side, negatively signed ones the mirror image, everything else 1.  The
 two sides then evaluate to 1 and 0 at c, so the implication gets 0 at
-the root.
+the root.  The assignment is keyed by the (sequence, atom) of each
+occurrence in the implication itself, in the mode's keying.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Atom, Formula, Imp, Sequent, atoms_of, render
+from .formula import Atom, Formula, Imp, atoms_of, render
 from .semantics import Assignment, evaluate
 from .seq import keying_of, occurrences, polarity, table_key
-from .substitution import skeletonize
 
 __all__ = [
     "SharingWitness", "shares_atom", "lericone_sharing", "make_h",
@@ -63,6 +63,18 @@ def lericone_sharing(imp: Formula, mode: str = "plain") -> Optional[SharingWitne
     return None
 
 
+def _polarity_assignment(imp: Imp, keying: str) -> Assignment:
+    """:func:`make_h`'s assignment over the occurrences of ``imp``."""
+    entries: dict = {}
+    for path, node, seq in occurrences(imp):
+        if type(node) is Atom:
+            # occurrence sequences inside an implication always end in c;
+            # polarity is read off the c-free prefix
+            positive = polarity(seq[:-1]) == "positive"
+            entries[(seq, node.index)] = int(positive == (path[0] == "left"))
+    return Assignment(entries, default=1, keying=keying)
+
+
 def make_h(a: Formula, b: Formula, mode: str = "plain") -> Assignment:
     """Polarity assignment falsifying ``a -> b`` for atom-disjoint sides.
 
@@ -77,43 +89,23 @@ def make_h(a: Formula, b: Formula, mode: str = "plain") -> Assignment:
     if shared is not None:
         raise ValueError(f"sides share atom p{shared}; no falsifier of this "
                          "shape exists")
-    entries: dict = {}
-    for path, node, seq in occurrences(Imp(a, b)):
-        if type(node) is not Atom:
-            continue
-        # occurrence sequences inside an implication always end in c;
-        # polarity is read off the c-free prefix
-        sign = polarity(seq[:-1])
-        if path[0] == "left":
-            bit = 1 if sign == "positive" else 0
-        else:
-            bit = 0 if sign == "positive" else 1
-        entries[(seq, node.index)] = bit
-    return Assignment(entries, default=1, keying=keying)
+    return _polarity_assignment(Imp(a, b), keying)
 
 
 def certify_irrelevance(imp: Formula, mode: str = "plain") -> Optional[Assignment]:
     """Falsifying assignment for an implication without a sharing witness.
 
-    Skeletonizes so the two sides become atom-disjoint, builds the
-    polarity assignment on the skeleton, pulls it back through the
-    renaming, and verifies the result evaluates the implication to 0.
-    Returns None when a sharing witness exists.
+    Without one, no key of the mode's keying occurs on both sides, so the
+    polarity assignment of :func:`make_h` can be built on the implication
+    itself; keys merged by faithful keying have equal polarity.  The result
+    is verified to evaluate the implication to 0.  Returns None when a
+    sharing witness exists.
     """
-    if not isinstance(imp, Imp):
-        raise ValueError(f"expected an implication, got {render(imp)}")
     if lericone_sharing(imp, mode) is not None:
         return None
-    skeleton_sequent, renaming = skeletonize(Sequent((), imp), mode=mode)
-    skeleton = skeleton_sequent.conclusion
-    h = make_h(skeleton.left, skeleton.right, mode)
-    entries = {}
-    for (seq, atom), fresh in renaming.forward.items():
-        entries[(seq, atom)] = h.lookup(seq, fresh)
-    pulled = Assignment(entries, default=1, keying=h.keying)
-    value = evaluate(pulled, "", imp)
-    if value != 0:
+    h = _polarity_assignment(imp, keying_of(mode))
+    if evaluate(h, "", imp) != 0:
         raise AssertionError("polarity assignment failed to falsify the "
                              "implication; this indicates a defect in the "
                              "construction")
-    return pulled
+    return h

@@ -13,7 +13,7 @@ from itertools import product
 from .formula import Imp, Sequent, render
 from .generate import (exhaustive_formulas, random_formula, random_proof,
                        random_sequence, random_substitution)
-from .hilbert import check_proof, transform_proof
+from .hilbert import check_proof, conclusion, transform_proof
 from .relevance import lericone_sharing
 from .semantics import (Assignment, brute_consequence, bullet, decide,
                         domain_keys, evaluate)
@@ -109,14 +109,14 @@ def run_self_test(seed: int = 0, json_output: bool = False) -> bool:
         sigma = random_substitution(rng, rng.choice(("raw", "faithful", "plain")))
         new = transform_proof(proof, sigma)
         check_proof(new)
-        if new.lines[-1].formula != apply_lericone(sigma, "", proof.lines[-1].formula):
+        if conclusion(new) != apply_lericone(sigma, "", conclusion(proof)):
             ok = False
     for _ in range(40):
         proof = random_proof(rng, "B", steps=6)
         sigma = random_substitution(rng, rng.choice(("faithful", "plain")))
         new = transform_proof(proof, sigma)
         check_proof(new)
-        if new.lines[-1].formula != apply_lericone(sigma, "", proof.lines[-1].formula):
+        if conclusion(new) != apply_lericone(sigma, "", conclusion(proof)):
             ok = False
     check("proof-transformation", ok, "40 BM + 40 B proofs")
 

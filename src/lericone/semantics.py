@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 
+_DEFAULT_CAP = 24  # enumeration cap in keys, shared by every enumerating decider
+
+
 class CapacityError(Exception):
     """Enumeration domain above the cap; brute force and the skeleton
     method share the cap, the tableau has none.  Rows run in fixed-size
@@ -170,7 +173,8 @@ def _first_falsifier(s: Sequent, keys: list, column, cap: int) -> Optional[dict]
     return None
 
 
-def brute_consequence(s: Sequent, mode: str = "plain", cap: int = 24) -> Verdict:
+def brute_consequence(s: Sequent, mode: str = "plain",
+                      cap: int = _DEFAULT_CAP) -> Verdict:
     """Enumerate all assignments over the sequent's key domain.
 
     Faithful mode quotients the domain by the faithful key, which is
@@ -185,7 +189,7 @@ def brute_consequence(s: Sequent, mode: str = "plain", cap: int = 24) -> Verdict
     return Verdict("invalid", Assignment(row, default=0, keying=keying), "brute")
 
 
-def classical_valid(s: Sequent, cap: int = 24) -> Verdict:
+def classical_valid(s: Sequent, cap: int = _DEFAULT_CAP) -> Verdict:
     """Classical truth-table check; the countermodel ignores sequences."""
     atoms = sorted(set().union(*map(atoms_of, s.formulas)))
     row = _first_falsifier(s, atoms, table_key("plain"), cap)
@@ -195,7 +199,7 @@ def classical_valid(s: Sequent, cap: int = 24) -> Verdict:
                    "classical")
 
 
-def decide(s: Sequent, mode: str = "plain", *, cap: int = 24) -> Verdict:
+def decide(s: Sequent, mode: str = "plain", *, cap: int = _DEFAULT_CAP) -> Verdict:
     """Skeletonize, decide classically, and pull any countermodel back.
 
     The skeleton's atoms are in bijection with the sequent's (sequence,

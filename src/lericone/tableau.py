@@ -13,7 +13,8 @@ raw sequences and their common key, from which the individual
 double-negation cancellation steps can be reconstructed.
 
 Expansion is deterministic (oldest unprocessed triple on the leftmost
-open branch), so proof objects replay exactly.  :func:`prove` stops at
+open branch), so :func:`replay` checks a proof object by re-running
+:func:`prove` and comparing the two.  :func:`prove` stops at
 the verdict: a closed tableau is expanded in full, while on an open one
 expansion ends once the leftmost open branch is saturated, which alone
 determines the countermodel.  :func:`saturate` expands every branch.
@@ -24,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .formula import And, Atom, Formula, Imp, Neg, Or, Sequent, size
+from .formula import And, Atom, Formula, Imp, Neg, Or, Sequent
 from .semantics import Assignment, Verdict, falsifies
 from .seq import children, keying_of, table_key
 
 __all__ = [
     "Triple", "Branch", "Tableau", "ClosureWitness", "RuleApplication",
-    "TableauProof", "TableauResult", "initial_tableau", "expand_step",
-    "saturate", "prove", "extract_countermodel", "extensions_of", "replay",
+    "TableauProof", "TableauResult", "initial_tableau", "saturate",
+    "prove", "extract_countermodel", "extensions_of", "replay",
 ]
 
 
@@ -186,15 +187,10 @@ def initial_tableau(s: Sequent, mode: str = "plain") -> Tableau:
     return tableau
 
 
-def _leftmost_open(tableau: Tableau) -> Optional[int]:
-    """Position of the leftmost open branch, or None when all are closed."""
-    return next((i for i, b in enumerate(tableau.branches) if b.is_open), None)
-
-
-def _apply(tableau: Tableau, position: int, triple: Triple) -> RuleApplication:
+def _apply(tableau: Tableau, position: int, triple: Triple) -> None:
     """Apply the rule for ``triple`` to the branch at ``position``: extend
     it in place by one group, or replace it by one clone per group; the
-    step is recorded and returned."""
+    step is recorded."""
     branch = tableau.branches[position]
     rule, groups = extensions_of(triple)
     branch.processed += 1
@@ -207,25 +203,31 @@ def _apply(tableau: Tableau, position: int, triple: Triple) -> RuleApplication:
         for new in group:
             child.add(new, tableau.key_of)
     tableau.branches[position:position + 1] = children
-    step = RuleApplication(branch.ident, triple, rule,
-                           tuple((c.ident, g) for c, g in zip(children, groups)))
-    tableau.steps.append(step)
-    return step
+    tableau.steps.append(RuleApplication(
+        branch.ident, triple, rule,
+        tuple((c.ident, g) for c, g in zip(children, groups))))
 
 
-def expand_step(tableau: Tableau) -> bool:
-    """Apply one rule to the oldest unprocessed triple on the leftmost
-    open branch; returns False when every branch is saturated or closed."""
-    for position, branch in enumerate(tableau.branches):
-        if branch.is_open and (triple := branch.next_unprocessed()) is not None:
+def _expand(tableau: Tableau, position: int) -> Optional[int]:
+    """Expand the oldest unprocessed triple on the leftmost open branch at
+    or right of ``position`` until that branch is saturated; return its
+    position, or None once no open branch is left.  A rule changes only the
+    branch it is applied to, so branches left of ``position`` stay done."""
+    while position < len(tableau.branches):
+        branch = tableau.branches[position]
+        if not branch.is_open:
+            position += 1
+        elif (triple := branch.next_unprocessed()) is None:
+            return position
+        else:
             _apply(tableau, position, triple)
-            return True
-    return False
+    return None
 
 
 def saturate(tableau: Tableau) -> Tableau:
-    while expand_step(tableau):
-        pass
+    position = _expand(tableau, 0)
+    while position is not None:
+        position = _expand(tableau, position + 1)
     return tableau
 
 
@@ -258,37 +260,22 @@ def prove(s: Sequent, mode: str = "plain") -> TableauResult:
     its right may be left unexpanded.  :func:`saturate` expands everything.
     """
     tableau = initial_tableau(s, mode)
-    while (position := _leftmost_open(tableau)) is not None:
-        branch = tableau.branches[position]
-        triple = branch.next_unprocessed()
-        if triple is None:
-            model = extract_countermodel(branch, mode, s)
-            return TableauResult("invalid", None, model, tableau)
-        _apply(tableau, position, triple)
+    position = _expand(tableau, 0)
+    if position is not None:
+        model = extract_countermodel(tableau.branches[position], mode, s)
+        return TableauResult("invalid", None, model, tableau)
     witnesses = tuple((b.ident, b.closed) for b in tableau.branches)
     proof = TableauProof(s, mode, tuple(tableau.steps), witnesses)
     return TableauResult("valid", proof, None, tableau)
 
 
 def replay(proof: TableauProof) -> bool:
-    """Re-run the recorded rule applications from the initial tableau and
-    confirm that each expands the oldest unprocessed triple on the leftmost
-    open branch, as :func:`prove` does, reproduces the same additions and
-    branch names, and that every branch closes with the recorded witness."""
-    tableau = initial_tableau(proof.sequent, proof.mode)
-    for step in proof.steps:
-        position = _leftmost_open(tableau)
-        if position is None:
-            return False
-        branch = tableau.branches[position]
-        if (branch.ident != step.branch or branch.next_unprocessed() != step.triple
-                or _apply(tableau, position, step.triple) != step):
-            return False
+    """Re-run :func:`prove` on the proof's sequent and mode and confirm that
+    it records the same rule applications and closes every branch with the
+    recorded witness.  ``prove`` is deterministic, so this accepts exactly
+    the proofs that a step-by-step re-run of the rules accepts."""
+    rerun = prove(proof.sequent, proof.mode).proof
+    if rerun is None or rerun.steps != proof.steps:
+        return False
     recorded = dict(proof.witnesses)
-    return all(not b.is_open and recorded.get(b.ident) == b.closed
-               for b in tableau.branches)
-
-
-def branch_size_bound(s: Sequent) -> int:
-    """Worst-case rule applications per branch: total node count."""
-    return sum(size(f) for f in s.formulas)
+    return all(recorded.get(ident) == witness for ident, witness in rerun.witnesses)

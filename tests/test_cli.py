@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lericone.cli import main
+from lericone.formula import parse_sequent
 
 
 def run(capsys, *argv):
@@ -436,3 +437,27 @@ def test_mutated_json_never_escapes(tmp_path, capsys, data):
         code, out, _ = run(capsys, *map(str, argv))
         assert code in (0, 2) or (code == 1 and argv[0] == "check-proof"
                                   and out.startswith("rejected:")), (argv, out)
+
+
+_SEQUENT_TEXT = st.text(st.sampled_from("p0123456789~&|->(), ") | st.characters(),
+                        max_size=24)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_SEQUENT_TEXT)
+def test_unparsable_sequents_exit_2(capsys, text):
+    """Short sequent texts, mostly from the sequent alphabet: no exception
+    leaves ``main``, and text that ``parse_sequent`` rejects exits 2 with
+    nothing on stdout.  The text follows ``--`` so that one starting with
+    ``-`` reaches the parser rather than the option parser."""
+    try:
+        parse_sequent(text)
+        parsed = True
+    except Exception:
+        parsed = False
+    code, out, _ = run(capsys, "prove", "--method", "tableau", "--", text)
+    if parsed:
+        assert code in (0, 1), text
+    else:
+        assert (code, out) == (2, ""), text

@@ -38,7 +38,9 @@ def test_parse_errors_carry_offsets():
     # atom indices are ASCII digits: "²" and "١" pass str.isdigit
     for text, position, message in (("p²", 1, "atom needs a numeric index"),
                                     ("p1²", 2, "trailing input"),
-                                    ("p1 -> p١", 7, "atom needs a numeric index")):
+                                    ("p1 -> p١", 7, "atom needs a numeric index"),
+                                    # past the interpreter's integer string limit
+                                    ("p1 -> p" + "9" * 5000, 7, "atom index too long")):
         with pytest.raises(ParseError, match=message) as err:
             parse(text)
         assert err.value.position == position

@@ -12,9 +12,8 @@ from lericone.semantics import brute_consequence, decide
 from lericone.formula import Atom, Neg, Sequent, all_paths, size
 from lericone.seq import children, locate, occurrences, validate_seq
 from lericone.substitution import RenamingTable, skeletonize
-from lericone.tableau import (Triple, branch_size_bound, extensions_of,
-                              extract_countermodel, initial_tableau, prove,
-                              saturate)
+from lericone.tableau import (Triple, extensions_of, extract_countermodel,
+                              initial_tableau, prove, saturate)
 
 from conftest import (F, deletion_normal_forms, fold_polarity, p3, words_up_to)
 
@@ -134,7 +133,8 @@ def test_occurrence_addressing_is_depth_safe(shape):
     paths = list(all_paths(f))
     annotation = annotate(f)
     assert list(annotation) == paths
-    assert size(f) == len(paths) == branch_size_bound(Sequent((), f)) == depth + atoms
+    node_count = sum(size(g) for g in Sequent((), f).formulas)
+    assert size(f) == len(paths) == node_count == depth + atoms
     found = atom_occurrences(f)
     assert len(found) == atoms
     path, atom = found[-1]

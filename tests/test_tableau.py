@@ -6,9 +6,9 @@ import pytest
 from lericone import (Assignment, Sequent, brute_consequence, decide,
                       evaluate, falsifies, parse, parse_sequent)
 from lericone.generate import exhaustive_formulas, random_formula
-from lericone.tableau import (Triple, branch_size_bound, extensions_of,
-                              extract_countermodel, initial_tableau, prove,
-                              replay, saturate)
+from lericone.formula import size
+from lericone.tableau import (Triple, extensions_of, extract_countermodel,
+                              initial_tableau, prove, replay, saturate)
 
 from conftest import F
 
@@ -124,7 +124,7 @@ def test_conformance_invariant():
 def test_termination_bound():
     for f in exhaustive_formulas(3, (1, 2)):
         s = Sequent((), f)
-        bound = branch_size_bound(s)
+        bound = sum(size(g) for g in s.formulas)
         for mode in ("plain", "faithful"):
             t = saturate(initial_tableau(s, mode))
             for branch in t.branches:
@@ -157,18 +157,29 @@ def test_closed_proofs_replay():
             if result.proof is None:
                 continue
             count += 1
-            assert replay(result.proof)
-            if result.proof.steps:
-                first = result.proof.steps[0]
+            proof = result.proof
+            assert replay(proof)
+            (ident, witness), *others = proof.witnesses
+            tampered = [
+                replace(proof, witnesses=(
+                    (ident, replace(witness, positive=Triple("nnnn", 1, F("p1")))),
+                    *others)),
+                replace(proof, mode="faithful" if mode == "plain" else "plain"),
+            ]
+            if proof.steps:
+                first = proof.steps[0]
                 (ident, added), *rest = first.results
                 wrong = (Triple("nnnn", 1, F("p1")),) + added[1:]
                 for tampered_step in (
                         replace(first, triple=Triple("nnnn", 1, F("p1 & p1"))),
                         replace(first, rule="Positive Negation Rule"),
                         replace(first, results=((ident, wrong), *rest))):
-                    tampered = replace(result.proof,
-                                       steps=(tampered_step,) + result.proof.steps[1:])
-                    assert not replay(tampered)
+                    tampered.append(replace(proof, steps=(tampered_step,) + proof.steps[1:]))
+                # the last step dropped, or repeated at the end
+                tampered.append(replace(proof, steps=proof.steps[:-1]))
+                tampered.append(replace(proof, steps=proof.steps + proof.steps[-1:]))
+            for bad in tampered:
+                assert not replay(bad)
     assert count >= 30
 
 
