@@ -270,6 +270,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
+    except AssertionError as exc:  # a failed internal cross-check
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

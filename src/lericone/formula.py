@@ -6,7 +6,9 @@ precision indices, >= 1) with negation ``~``, conjunction ``&``, disjunction
 conditional is right-associative, the lattice connectives left-associative.
 The text syntax is bounded by the interpreter's limit on integer string
 conversion (4,300 digits by default): ``parse`` rejects a longer index, and
-``render`` raises ``ValueError`` on one.
+``render`` raises ``ValueError`` on one.  The parser is one precedence loop
+on an explicit stack, so parsing has no depth limit; ``render``, ``==``
+and ``hash`` still recurse, and fail a few hundred levels down.
 
 Subformula occurrences are addressed by paths: tuples of child selectors,
 ``"only"`` for the child of a negation and ``"left"``/``"right"`` for the
@@ -95,90 +97,72 @@ class PathError(ValueError):
 
 # -- parsing ----------------------------------------------------------------
 
-class _Parser:
-    """Recursive descent over the grammar
+_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Imp)}  # precedence, node
 
-        formula := imp ; imp := or ("->" imp)? ; or := and ("|" and)* ;
-        and := unary ("&" unary)* ; unary := "~" unary | "p" DIGITS | "(" formula ")"
+
+def _parse_from(text: str, pos: int) -> Formula:
+    """Parse ``text[pos:]`` by operator precedence over the grammar
+
+        formula := unary (("&" | "|" | "->") unary)* ;
+        unary := "~" unary | "p" DIGITS | "(" formula ")"
+
+    with ``_BINARY``'s precedences; ``->`` associates to the right.  One
+    explicit stack holds each pending ``~`` and ``(`` and each binary
+    operator with its left operand, so nesting meets no recursion limit.
     """
-
-    def __init__(self, text: str, pos: int):
-        self.text = text
-        self.pos = pos
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.eat("->"):
-            return Imp(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek() == "|":
-            self.pos += 1
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
-        node = self.unary()
-        while self.peek() == "&":
-            self.pos += 1
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        ch = self.peek()
-        if ch == "~":
-            self.pos += 1
-            return Neg(self.unary())
-        if ch == "(":
-            self.pos += 1
-            node = self.formula()
-            if not self.eat(")"):
-                raise ParseError("unbalanced parenthesis", self.pos, (")",))
-            return node
-        if ch == "p":
-            self.pos += 1
-            start = self.pos
+    stack: list = []
+    node = None  # the operand just read; None while one is due
+    end = len(text)
+    while True:
+        while pos < end and text[pos].isspace():
+            pos += 1
+        ch = text[pos:pos + 1]
+        if node is None:
+            if ch in ("~", "("):
+                stack.append(ch)
+                pos += 1
+                continue
+            if ch != "p":
+                raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input",
+                                 pos, ("~", "(", "p<digits>"))
+            pos = start = pos + 1
             # ASCII digits only: str.isdigit also accepts "²" and "١"
-            while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-                self.pos += 1
-            if self.pos == start:
-                raise ParseError("atom needs a numeric index", self.pos, ("digit",))
+            while pos < end and text[pos] in "0123456789":
+                pos += 1
+            if pos == start:
+                raise ParseError("atom needs a numeric index", pos, ("digit",))
             try:
-                index = int(self.text[start:self.pos])
+                index = int(text[start:pos])
             except ValueError:  # past the interpreter's integer string limit
                 raise ParseError("atom index too long", start,
                                  ("fewer digits",)) from None
             if index < 1:
                 raise ParseError("atom index 0 is not allowed", start, ("index >= 1",))
-            return Atom(index)
-        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input",
-                         self.pos, ("~", "(", "p<digits>"))
-
-
-def _parse_from(text: str, pos: int) -> Formula:
-    p = _Parser(text, pos)
-    node = p.formula()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError(f"trailing input {text[p.pos:]!r}", p.pos)
-    return node
+            node = Atom(index)
+            continue
+        while stack and stack[-1] == "~":
+            stack.pop()
+            node = Neg(node)
+        op = "->" if text.startswith("->", pos) else ch
+        prec, make = _BINARY.get(op, (0, None))
+        # close the operators that bind at least as tightly; "->" waits
+        # for its right operand to close another "->"
+        while stack and stack[-1] != "(" and stack[-1][0] >= prec + (op == "->"):
+            _, close, left = stack.pop()
+            node = close(left, node)
+        if make is not None:
+            stack.append((prec, make, node))
+            pos += len(op)
+            node = None
+        elif stack:  # a "(" is open
+            if ch != ")":
+                raise ParseError("unbalanced parenthesis", pos, (")",))
+            stack.pop()
+            pos += 1
+        elif pos < end:
+            raise ParseError(f"trailing input {text[pos:]!r}", pos)
+        else:
+            return node
 
 
 def parse(text: str) -> Formula:

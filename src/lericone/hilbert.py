@@ -23,7 +23,8 @@ cancelled double negation.  A premise used twice is restated twice in
 the output, as in the paper's construction, but each (line,
 substitution) pair is rebuilt once: later uses replay its block of
 output lines with renumbered premises.  The rebuild runs on an explicit
-stack, so proof depth meets no recursion limit.
+stack, so proof depth meets no recursion limit; its memo keys by
+substitution value.  ``check_proof`` on the result is its only verifier.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, render
-from .substitution import LericoneSubstitution, apply_lericone, shift, t_of
+from .substitution import apply_lericone, shift, t_of
 
 __all__ = [
     "AxiomRef", "RuleRef", "ProofLine", "HilbertProof", "ProofCheckError",
@@ -227,35 +228,28 @@ def transform_proof(pr: HilbertProof, s) -> HilbertProof:
     Lines come out in the order of a recursive rebuild: each premise's
     block, left to right, then the line itself.  The first visit of a
     (line, substitution) pair computes its block; a repeat visit copies
-    it, shifting the copied premise references.  Substitutions are keyed
-    by keying and entries, and each premise's substitution is derived
-    once per (substitution, context).
+    it, shifting the copied premise references.  Substitutions key by
+    value, each premise's substitution is derived once per (substitution,
+    context), and the closing ``check_proof`` alone verifies the result.
     """
     check_proof(pr)
     if _LOGICS[pr.logic].faithful and not s.is_faithful:
         raise ValueError(f"transforming a {pr.logic} proof requires a "
                          "faithful substitution")
 
-    def canonical(sub):
-        # equal keys give equal images everywhere; a substitution without
-        # a finite table keys by itself
-        if isinstance(sub, LericoneSubstitution):
-            return sub.keying, frozenset(sub.entries.items())
-        return sub
-
     out: list = []
-    blocks: dict = {}  # (line, substitution key) -> its first and last output line
-    derived_subs: dict = {}  # (substitution key, context) -> (substitution, key)
+    blocks: dict = {}  # (line, substitution) -> its first and last output line
+    derived_subs: dict = {}  # (substitution, context) -> premise substitution
     # Each frame rebuilds one line under one substitution after its premises,
     # left to right, as a recursive rebuild would, but with no depth limit.
     frames: list = []
 
-    def enter(index: int, sub, key, into: list) -> None:
-        """Open a frame rebuilding (index, key), or replay the block it got
+    def enter(index: int, sub, into: list) -> None:
+        """Open a frame rebuilding (index, sub), or replay the block it got
         before; either way its last output line is appended to ``into``."""
-        block = blocks.get((index, key))
+        block = blocks.get((index, sub))
         if block is None:
-            frames.append((index, sub, key, len(out), [], into))
+            frames.append((index, sub, len(out), [], into))
             return
         first, last = block
         offset = len(out) - first
@@ -266,36 +260,22 @@ def transform_proof(pr: HilbertProof, s) -> HilbertProof:
             out.append(line)
         into.append(len(out) - 1)
 
-    enter(len(pr.lines) - 1, s, canonical(s), [])
+    enter(len(pr.lines) - 1, s, [])
     while frames:
-        index, sub, key, first, premises, into = frames[-1]
+        index, sub, first, premises, into = frames[-1]
         line = pr.lines[index]
         just = line.just
         if isinstance(just, RuleRef) and len(premises) < len(just.premises):
             context = _RULES[just.rule][1][len(premises)]
-            if (key, context) not in derived_subs:
-                child = context(sub)
-                derived_subs[key, context] = (
-                    child, key if child is sub else canonical(child))
-            enter(just.premises[len(premises)], *derived_subs[key, context], premises)
+            if (sub, context) not in derived_subs:
+                derived_subs[sub, context] = context(sub)
+            enter(just.premises[len(premises)], derived_subs[sub, context], premises)
             continue
         frames.pop()
-        target = apply_lericone(sub, "", line.formula)
-        if isinstance(just, AxiomRef):
-            if not any(_instances(target, (just.axiom,))):
-                raise AssertionError(
-                    f"image {render(target)} is not an instance of {just.axiom}; "
-                    "the substitution does not respect the logic")
-        else:
-            derived = _RULES[just.rule][0](*[out[ref].formula for ref in premises])
-            if derived != target:
-                raise AssertionError(
-                    f"{just.rule} on transformed premises yields "
-                    f"{render(derived) if derived else derived}, "
-                    f"expected {render(target)}")
+        if isinstance(just, RuleRef):
             just = RuleRef(just.rule, tuple(premises))
-        out.append(ProofLine(target, just))
-        blocks[index, key] = (first, len(out) - 1)
+        out.append(ProofLine(apply_lericone(sub, "", line.formula), just))
+        blocks[index, sub] = (first, len(out) - 1)
         into.append(len(out) - 1)
     result = HilbertProof(pr.logic, tuple(out))
     check_proof(result)

@@ -21,7 +21,7 @@ from .substitution import LericoneSubstitution, RenamingTable
 from .tableau import TableauProof, Triple
 
 __all__ = [
-    "substitution_to_json", "substitution_from_json",
+    "substitution_from_json",
     "assignment_to_json", "assignment_from_json",
     "verdict_to_json", "witness_to_json", "renaming_to_json",
     "proof_to_json", "proof_from_json", "tableau_proof_to_json",
@@ -62,11 +62,6 @@ def _entries_from_json(entries, keying: str, field: str, decode) -> dict:
         if table.setdefault(key, value) != value:
             raise ValueError(f"conflicting {field}s at {key}")
     return table
-
-
-def substitution_to_json(s: LericoneSubstitution) -> dict:
-    return {"keying": s.keying,
-            "entries": _entries_to_json(s, "image", render)}
 
 
 def substitution_from_json(data) -> LericoneSubstitution:

@@ -1,7 +1,8 @@
 """Sequence-indexed substitutions: application, algebra, and skeletons.
 
 A substitution assigns a formula to every (sequence, atom) pair; only
-finitely many images differ from the atom itself.  Three keyings exist:
+finitely many images differ from the atom itself, and a table of them,
+``LericoneSubstitution``, hashes by value.  Three keyings exist:
 
 * ``raw`` - keys looked up verbatim;
 * ``plain`` - the image depends on the atom only (the classical case);
@@ -45,6 +46,14 @@ class LericoneSubstitution(KeyedTable):
 
     def __post_init__(self) -> None:
         self._key_entries("images")
+
+    def __hash__(self) -> int:
+        # by value, as equality compares; kept from the first use, so a table
+        # whose images are too deep to hash still applies
+        if "_hash" not in vars(self):
+            object.__setattr__(self, "_hash",
+                               hash((self.keying, frozenset(self.entries.items()))))
+        return self._hash
 
     @classmethod
     def plain(cls, mapping: Mapping) -> "LericoneSubstitution":

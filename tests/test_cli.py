@@ -202,6 +202,19 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
+def test_internal_defect_exits_2(capsys, monkeypatch):
+    from lericone import semantics
+
+    # the skeleton decider re-checks its countermodel; a defect there is an
+    # error (exit 2), never "invalid" (exit 1)
+    monkeypatch.setattr(semantics, "falsifies", lambda f, s: False)
+    code, out, err = run(capsys, "prove", "--method", "skeleton", "p1 -> p2")
+    assert (code, out, err) == (
+        2, "", "error: internal error: pulled-back countermodel failed to "
+               "falsify the sequent; this indicates a defect in the skeleton "
+               "reduction\n")
+
+
 def test_prove_over_cap_falls_back_to_tableau(capsys):
     wide = " | ".join(f"(p{i} -> p{i + 1})" for i in range(2, 28, 2))
     code, out, _ = run(capsys, "prove", f"(p1 -> p2) -> ({wide})", "--json")

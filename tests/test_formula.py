@@ -122,3 +122,159 @@ def test_sequent_parsing():
         with pytest.raises(ParseError, match="empty premise") as err:
             parse_sequent(text)
         assert err.value.position == position
+
+
+class _ReferenceParser:
+    """The recursive-descent parser that preceded the precedence loop,
+    kept as the reference its errors and trees are compared with:
+
+        formula := imp ; imp := or ("->" imp)? ; or := and ("|" and)* ;
+        and := unary ("&" unary)* ; unary := "~" unary | "p" DIGITS | "(" formula ")"
+    """
+
+    def __init__(self, text, pos):
+        self.text = text
+        self.pos = pos
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def eat(self, token):
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def formula(self):
+        left = self.disjunction()
+        if self.eat("->"):
+            return Imp(left, self.formula())
+        return left
+
+    def disjunction(self):
+        node = self.conjunction()
+        while self.peek() == "|":
+            self.pos += 1
+            node = Or(node, self.conjunction())
+        return node
+
+    def conjunction(self):
+        node = self.unary()
+        while self.peek() == "&":
+            self.pos += 1
+            node = And(node, self.unary())
+        return node
+
+    def unary(self):
+        ch = self.peek()
+        if ch == "~":
+            self.pos += 1
+            return Neg(self.unary())
+        if ch == "(":
+            self.pos += 1
+            node = self.formula()
+            if not self.eat(")"):
+                raise ParseError("unbalanced parenthesis", self.pos, (")",))
+            return node
+        if ch == "p":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
+                self.pos += 1
+            if self.pos == start:
+                raise ParseError("atom needs a numeric index", self.pos, ("digit",))
+            try:
+                index = int(self.text[start:self.pos])
+            except ValueError:
+                raise ParseError("atom index too long", start, ("fewer digits",)) from None
+            if index < 1:
+                raise ParseError("atom index 0 is not allowed", start, ("index >= 1",))
+            return Atom(index)
+        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input",
+                         self.pos, ("~", "(", "p<digits>"))
+
+
+def _reference_parse_from(text, pos):
+    p = _ReferenceParser(text, pos)
+    node = p.formula()
+    p.skip_ws()
+    if p.pos != len(text):
+        raise ParseError(f"trailing input {text[p.pos:]!r}", p.pos)
+    return node
+
+
+def _reference_parse_sequent(text):
+    turnstile = text.find("|-")
+    if turnstile < 0:
+        return Sequent((), _reference_parse_from(text, 0))
+    premises = []
+    if text[:turnstile].strip():
+        start = 0
+        for part in text[:turnstile].split(","):
+            end = start + len(part)
+            if not part.strip():
+                raise ParseError("empty premise", end)
+            premises.append(_reference_parse_from(text[:end], start))
+            start = end + 1
+    return Sequent(tuple(premises), _reference_parse_from(text, turnstile + 2))
+
+
+def _outcome(parse_text, text):
+    """The rendered result, or the ParseError's message, offset and
+    expected tokens."""
+    try:
+        result = parse_text(text)
+    except ParseError as exc:
+        return str(exc), exc.position, exc.expected
+    if isinstance(result, Sequent):
+        return render_sequent(result), tuple(render(p) for p in result.premises)
+    return render(result)
+
+
+def test_parser_agrees_with_the_recursive_descent_reference():
+    rng = random.Random(2024)
+    pieces = list("p0123456789~&|->() ,\t²x ") + ["p1", "->", "|-", " "]
+    texts = ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 16)))
+             for _ in range(80_000)]
+    for _ in range(20_000):  # renders with one insertion and one deletion
+        text = render(random_formula(rng, (1, 2, 3, 10), rng.randint(0, 8)))
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(pieces) + text[i:]
+        i = rng.randrange(len(text))
+        texts.append(text[:i] + text[i + 1:])
+    parsed = 0
+    for text in texts:
+        expected = _outcome(lambda t: _reference_parse_from(t, 0), text)
+        assert _outcome(parse, text) == expected, text
+        parsed += isinstance(expected, str)
+        assert (_outcome(parse_sequent, text)
+                == _outcome(_reference_parse_sequent, text)), text
+    # both outcomes are exercised
+    assert 2_000 < parsed < len(texts) - 2_000
+
+
+def test_parse_has_no_depth_limit():
+    n = 100_000
+    node = parse("~" * n + "p1")
+    for _ in range(n):
+        assert type(node) is Neg
+        node = node.child
+    assert node == p1
+    assert parse("(" * n + "p1" + ")" * n) == p1
+    # "->" nests to the right, "&" to the left
+    node = parse(" -> ".join(f"p{i}" for i in range(1, n + 1)))
+    for i in range(1, n):
+        assert type(node) is Imp and node.left == Atom(i)
+        node = node.right
+    assert node == Atom(n)
+    node = parse(" & ".join(f"p{i}" for i in range(1, n + 1)))
+    for i in range(n, 1, -1):
+        assert type(node) is And and node.right == Atom(i)
+        node = node.left
+    assert node == p1

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -255,6 +256,39 @@ def test_transform_reuse_proofs_match_the_unmemoised_rebuild(logic, x, axiom, si
         assert len(images) == len(pr.lines)
         assert jsonio.proof_to_json(out) == jsonio.proof_to_json(
             unmemoised_transform(pr, sigma))
+
+
+@pytest.mark.parametrize("corrupted, message", [
+    (2, r"^line 3: R4 yields .*, line states ~\("),
+    (0, r"^line 1: ~\(.*\) is not an instance of A1$"),
+])
+def test_transform_defects_fail_the_final_check(corrupted, message, tmp_path, capsys,
+                                                monkeypatch):
+    # transform_proof does not check the lines it builds; its closing
+    # check_proof must catch a wrong image of a rule line or an axiom line
+    pr = HilbertProof("BM", (axiom_line("p1 -> p1", "A1"), axiom_line("p2 -> p2", "A1"),
+                             ProofLine(F("(p1 -> p2) -> (p1 -> p2)"), RuleRef("R4", (0, 1)))))
+    check_proof(pr)
+    target = pr.lines[corrupted].formula
+
+    def corrupt(sub, seq, f):
+        image = apply_lericone(sub, seq, f)
+        return Neg(image) if f == target else image
+
+    monkeypatch.setattr(hilbert, "apply_lericone", corrupt)
+    sigma = LericoneSubstitution({("c", 1): F("p3 & p4"), ("lc", 2): F("~p1")})
+    with pytest.raises(ProofCheckError, match=message) as rejected:
+        transform_proof(pr, sigma)
+
+    proof_file, table_file = tmp_path / "proof.json", tmp_path / "table.json"
+    proof_file.write_text(json.dumps(jsonio.proof_to_json(pr)))
+    table_file.write_text(json.dumps({"keying": "raw", "entries": [
+        {"seq": "c", "atom": 1, "image": "p3 & p4"},
+        {"seq": "lc", "atom": 2, "image": "~p1"}]}))
+    from lericone.cli import main
+    code = main(["transform-proof", str(proof_file), str(table_file)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {rejected.value}\n")
 
 
 def r2_chain(length):

@@ -222,3 +222,20 @@ def test_skeletonize_godel_mode():
     code = godel("c", 1)
     assert faithful.conclusion == Imp(Atom(code), Neg(Neg(Atom(code))))
     assert table.forward == {("c", 1): code}
+
+
+def test_substitutions_hash_by_value():
+    entries = [(("c", 1), F("p2 & p3")), (("lc", 2), F("~p1")), (("rc", 1), p2)]
+    forward = LericoneSubstitution(dict(entries))
+    backward = LericoneSubstitution(dict(reversed(entries)))
+    assert forward == backward and hash(forward) == hash(backward)
+    assert {forward: "memo"}[backward] == "memo"
+    # faithful keying merges keys that differ by a cancelled double negation
+    faithful = LericoneSubstitution(dict(entries), keying="faithful")
+    merged = LericoneSubstitution({("nnc", 1): F("p2 & p3"), ("c", 1): F("p2 & p3"),
+                                   ("lnnc", 2): F("~p1"), ("rnnnnc", 1): p2},
+                                  keying="faithful")
+    assert merged == faithful and hash(merged) == hash(faithful)
+    assert faithful != forward  # the keying is part of the value
+    assert (hash(LericoneSubstitution.plain({1: p2, 2: p1}))
+            == hash(LericoneSubstitution.plain({2: p1, 1: p2})))
