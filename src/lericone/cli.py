@@ -201,18 +201,22 @@ def cmd_self_test(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="lericone",
+        prog="lericone", allow_abbrev=False,
         description="decision procedures for sequence-sensitive propositional logics")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, **kwargs):
+        # no prefix matching: "--h" is an argument, not "--help"
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
 
     def add_mode(p):
         p.add_argument("--mode", choices=["plain", "faithful"], default="plain")
 
-    p = sub.add_parser("annotate", help="print the annotated parse tree")
+    p = command("annotate", help="print the annotated parse tree")
     p.add_argument("formula")
     p.set_defaults(func=cmd_annotate)
 
-    p = sub.add_parser("prove", help="decide a sequent")
+    p = command("prove", help="decide a sequent")
     p.add_argument("sequent")
     add_mode(p)
     p.add_argument("--method", choices=["tableau", "brute", "skeleton", "all"],
@@ -221,37 +225,36 @@ def main(argv=None) -> int:
                    help="enumeration cap in keys (default %(default)s)")
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("substitute", help="apply a substitution at the root")
+    p = command("substitute", help="apply a substitution at the root")
     p.add_argument("formula")
     p.add_argument("--godel", action="store_true",
                    help="use the prime-power atom coding")
     p.add_argument("--table", help="substitution table JSON file")
     p.set_defaults(func=cmd_substitute)
 
-    p = sub.add_parser("skeleton", help="injective renaming per (sequence, atom) key")
+    p = command("skeleton", help="injective renaming per (sequence, atom) key")
     p.add_argument("sequent")
     add_mode(p)
     p.add_argument("--godel", action="store_true",
                    help="key fresh atoms by the prime-power coding")
     p.set_defaults(func=cmd_skeleton)
 
-    p = sub.add_parser("share", help="sharing witness or falsifying certificate")
+    p = command("share", help="sharing witness or falsifying certificate")
     p.add_argument("formula")
     add_mode(p)
     p.set_defaults(func=cmd_share)
 
-    p = sub.add_parser("check-proof", help="validate a Hilbert proof file")
+    p = command("check-proof", help="validate a Hilbert proof file")
     p.add_argument("proof")
     p.set_defaults(func=cmd_check_proof)
 
-    p = sub.add_parser("transform-proof",
-                       help="rebuild a proof under a substitution")
+    p = command("transform-proof", help="rebuild a proof under a substitution")
     p.add_argument("proof")
     p.add_argument("table")
     p.add_argument("-o", "--out", help="write the transformed proof here")
     p.set_defaults(func=cmd_transform_proof)
 
-    p = sub.add_parser("self-test", help="seeded randomized cross-checks")
+    p = command("self-test", help="seeded randomized cross-checks")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_self_test)
 

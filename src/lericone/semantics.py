@@ -19,10 +19,15 @@ classical check run one kernel, ``_first_falsifier``, which evaluates rows
 in blocks of 2^16 on packed truth columns and stops at the first block
 holding a falsifying row; they differ only in the keys it enumerates.
 Both therefore share the enumeration cap, and so does the skeleton
-method, which enumerates the skeleton's atoms.  Time doubles per key up
-to the cap; memory does not grow with it.  The scalar
-``evaluate`` shares only the traversal with the kernel, so countermodel
-checks stay an independent cross-check of the deciders.
+method, which enumerates the skeleton's atoms.  Before it runs blocks,
+the kernel walks the keys above the block, 0 before 1, and skips every
+subtree in which a strong Kleene (three-valued) evaluation of the partial
+assignment already makes the conclusion true or a premise false.  Time
+doubles per key only where no partial assignment decides the sequent;
+memory does not grow with the key count.  The scalar ``evaluate`` and
+the tableau share only the traversal with the kernel, not the Kleene
+check, so countermodel checks stay an independent cross-check of the
+deciders.
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ def falsifies(f: Assignment, s: Sequent) -> bool:
 
 
 _BLOCK_WIDTH = 16  # rows per kernel block: 2^16, one 8 KiB integer per column
+_CHECK_SPAN = 3  # Kleene-check the children of nodes spanning 2^3+ blocks
 
 
 def _column_masks(width: int) -> tuple:
@@ -132,6 +138,20 @@ def _column_masks(width: int) -> tuple:
     return columns, full
 
 
+def _kleene_imp(x: int, y: int) -> int:
+    return max(2 - x, y)
+
+
+def _may_falsify(s: Sequent, leaf) -> bool:
+    """Strong Kleene check over values 0, 1 (unknown) and 2 read from
+    ``leaf``: False when the conclusion is certainly true or some premise
+    certainly false, so that no completion of the partial assignment
+    falsifies ``s``."""
+    ops = ((2).__sub__, min, max, _kleene_imp)
+    return (fold(s.conclusion, "", leaf, *ops) != 2
+            and all(fold(p, "", leaf, *ops) for p in s.premises))
+
+
 def _first_falsifier(s: Sequent, keys: list, column, cap: int) -> Optional[dict]:
     """Lexicographically first falsifying row over the sorted ``keys``, as
     a key -> bit table, or None when no row falsifies ``s``.
@@ -143,6 +163,16 @@ def _first_falsifier(s: Sequent, keys: list, column, cap: int) -> Optional[dict]
     last keys take packed truth columns, the keys above them are constant
     in a block, and the search stops at the first falsifying block, so the
     cap bounds time, not memory.
+
+    The keys above the block are walked depth first, 0 before 1.  While a
+    node spans at least 2^``_CHECK_SPAN`` blocks, a strong Kleene pass
+    (:func:`_may_falsify`, every key below the node read as unknown)
+    checks each child, and the walk skips a child that the prefix already
+    decides.  Below a node where both children survive the walk checks no
+    more and runs every block, so a call makes at most 2 checks per key
+    above the block, each about as costly as one block.  Skipped blocks
+    hold no falsifier, so the row reported is the one the plain block loop
+    finds; time doubles per key only where no partial assignment decides.
     """
     if len(keys) > cap:
         raise CapacityError(
@@ -152,6 +182,26 @@ def _first_falsifier(s: Sequent, keys: list, column, cap: int) -> Optional[dict]
     width = len(keys)
     low = min(width, _BLOCK_WIDTH)
     high = width - low
+    prefix, depth = 0, 0  # the walk's path: bits of keys[:depth]
+    known = dict.fromkeys(keys, 1)  # Kleene value per key: 0, 1 unknown, 2
+
+    def partial(seq: str, atom: int) -> int:
+        return known[column(seq, atom)]
+
+    while high - depth >= _CHECK_SPAN:
+        key = keys[depth]
+        survivors = []
+        for bit in (0, 1):
+            known[key] = 2 * bit
+            if _may_falsify(s, partial):
+                survivors.append(bit)
+        if not survivors:
+            return None
+        if len(survivors) == 2:
+            break
+        prefix, depth = prefix << 1 | survivors[0], depth + 1
+        known[key] = 2 * survivors[0]
+
     columns, full = _column_masks(low)
     table = dict(zip(keys[high:], columns))
 
@@ -159,7 +209,8 @@ def _first_falsifier(s: Sequent, keys: list, column, cap: int) -> Optional[dict]
         return table[column(seq, atom)]
 
     ops = (full.__xor__, and_, or_, lambda x, y: (full ^ x) | y)
-    for block in range(1 << high):
+    rest = high - depth
+    for block in range(prefix << rest, (prefix + 1) << rest):
         for i, key in enumerate(keys[:high]):
             table[key] = full if (block >> (high - 1 - i)) & 1 else 0
         falsified = full ^ fold(s.conclusion, "", leaf, *ops)

@@ -171,14 +171,18 @@ def shift(s: LericoneSubstitution, context: str) -> LericoneSubstitution:
 _SYMBOL_CODE = {"l": 1, "r": 2, "c": 3, "n": 4}
 
 
+_PRIMES = [2, 3]  # every prime found so far, in order; grown by _primes
+
+
 def _primes(count: int) -> list:
-    out = [2]
-    candidate = 3
-    while len(out) < count:
-        if all(candidate % p for p in out):
-            out.append(candidate)
+    """The shared prime list, first grown by trial division to at least
+    ``count`` primes."""
+    candidate = _PRIMES[-1] + 2
+    while len(_PRIMES) < count:
+        if all(candidate % p for p in _PRIMES):
+            _PRIMES.append(candidate)
         candidate += 2
-    return out
+    return _PRIMES
 
 
 def godel(seq: str, atom: int) -> int:

@@ -474,3 +474,21 @@ def test_unparsable_sequents_exit_2(capsys, text):
         assert code in (0, 1), text
     else:
         assert (code, out) == (2, ""), text
+
+
+@pytest.mark.parametrize("command", [
+    ["prove", "--method", "tableau"], ["annotate"], ["skeleton"], ["share"]])
+def test_option_prefixes_are_not_abbreviations(capsys, command):
+    # "--h" is a prefix of --help only: as an abbreviation it would print
+    # the usage and exit 0, the "valid" code
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--h"])
+    out = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert out.out == "" and "required" in out.err
+
+
+def test_option_like_sequent_after_double_dash_is_parsed(capsys):
+    code, out, err = run(capsys, "prove", "--", "--h")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: at offset 0: unexpected '-'")

@@ -1,13 +1,16 @@
 import random
+from operator import and_, or_
 
 import pytest
 
-from lericone import (Assignment, CapacityError, Sequent, apply_lericone,
+from lericone import (And, Assignment, Atom, CapacityError, Imp, Neg, Or,
+                      Sequent, apply_lericone,
                       brute_consequence, bullet, classical_valid, decide,
                       domain_keys, evaluate, falsifies, parse, parse_sequent,
                       relevant_domain, semantics)
 from lericone.generate import (exhaustive_formulas, random_formula,
                                random_sequence, random_substitution)
+from lericone.seq import fold
 
 from conftest import F
 
@@ -320,3 +323,145 @@ def test_enumeration_memory_is_flat_in_the_cap(keys):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20  # 2^24 rows as whole packed columns peak near 62 MiB
+
+
+def block_loop(s, keys, column, cap):
+    """Every block in binary order until one falsifies, with no pruning;
+    oracle for the pruned walk of ``semantics._first_falsifier``."""
+    if len(keys) > cap:
+        raise CapacityError(f"{len(keys)} keys exceed the enumeration cap")
+    width = len(keys)
+    low = min(width, semantics._BLOCK_WIDTH)
+    high = width - low
+    columns, full = semantics._column_masks(low)
+    table = dict(zip(keys[high:], columns))
+
+    def leaf(seq, atom):
+        return table[column(seq, atom)]
+
+    ops = (full.__xor__, and_, or_, lambda x, y: (full ^ x) | y)
+    for block in range(1 << high):
+        for i, key in enumerate(keys[:high]):
+            table[key] = full if (block >> (high - 1 - i)) & 1 else 0
+        falsified = full ^ fold(s.conclusion, "", leaf, *ops)
+        for premise in s.premises:
+            if not falsified:
+                break
+            falsified &= fold(premise, "", leaf, *ops)
+        if falsified:
+            row = block << low | ((falsified & -falsified).bit_length() - 1)
+            return {keys[i]: (row >> (width - 1 - i)) & 1 for i in range(width)}
+    return None
+
+
+def literal_tree(rng, atoms, kinds):
+    """Random bracketing of literals ``p``, ``~p`` and ``~~p`` over ``atoms``,
+    each join one of ``kinds``."""
+    if len(atoms) == 1:
+        atom = Atom(atoms[0])
+        return rng.choice((atom, atom, Neg(atom), Neg(Neg(atom))))
+    cut = rng.randint(1, len(atoms) - 1)
+    return rng.choice(kinds)(literal_tree(rng, atoms[:cut], kinds),
+                             literal_tree(rng, atoms[cut:], kinds))
+
+
+def keyed_sequent(rng, fewest, most):
+    """Random sequent with ``fewest`` to ``most`` raw keys: up to two
+    premises and a conclusion over literals, atoms drawn with repeats, and
+    in a third of those with premises a premise as one disjunct of the
+    conclusion, so that some sequents are valid."""
+    while True:
+        n = rng.randint(fewest, most + 1)
+        pool = rng.randint(n // 2, 2 * n)
+        atoms = [rng.randint(1, pool) for _ in range(n)]
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+        parts = [atoms[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+        premises = tuple(literal_tree(rng, part, (And, And, Or))
+                         for part in parts[:-1])
+        kinds = rng.choice(((And, Or, Imp), (And, And, Or), (Or, Or, And, Imp)))
+        conclusion = literal_tree(rng, parts[-1], kinds)
+        if premises and rng.random() < 0.3:
+            conclusion = Or(*rng.sample((rng.choice(premises), conclusion), 2))
+        s = Sequent(premises, conclusion)
+        if fewest <= len(relevant_domain(s)) <= most:
+            return s
+
+
+def outcomes(s):
+    """Status and countermodel table of every enumerating decider."""
+    verdicts = [classical_valid(s)]
+    for mode in ("plain", "faithful"):
+        verdicts += [brute_consequence(s, mode), decide(s, mode)]
+    return [(v.status, v.countermodel and v.countermodel.entries)
+            for v in verdicts]
+
+
+def test_pruned_walk_matches_the_block_loop(monkeypatch):
+    # 17-23 keys: 2-128 blocks, with Kleene checks from 19 keys on
+    rng = random.Random(1601)
+    cases = [keyed_sequent(rng, 17, 23) for _ in range(2000)]
+    pruned = [outcomes(s) for s in cases]
+    monkeypatch.setattr(semantics, "_first_falsifier", block_loop)
+    assert pruned == [outcomes(s) for s in cases]
+
+
+@pytest.mark.parametrize("block_width", [1, 2])
+def test_pruned_walk_matches_scalar_enumeration(monkeypatch, block_width):
+    # blocks of 2 and 4 rows put the walk's checks at 4-9 keys
+    monkeypatch.setattr(semantics, "_BLOCK_WIDTH", block_width)
+    rng = random.Random(1602 + block_width)
+    for _ in range(300):
+        s = keyed_sequent(rng, 4, 9)
+        classical = classical_valid(s)
+        assert (classical.status, classical.countermodel
+                and classical.countermodel.entries) == scalar_classical(s)
+        for mode in ("plain", "faithful"):
+            verdict = brute_consequence(s, mode)
+            status, entries = scalar_brute(s, mode)
+            assert (verdict.status, verdict.countermodel
+                    and verdict.countermodel.entries) == (status, entries)
+            assert decide(s, mode).status == status
+
+
+def count_folds(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return fold(*args)
+
+    monkeypatch.setattr(semantics, "fold", counted)
+    return calls
+
+
+def test_decided_prefixes_are_skipped(monkeypatch):
+    # 24 keys, 256 blocks: every prefix that sets an antecedent atom to 0
+    # or a consequent atom to 1 is decided; the block loop folds once per
+    # block up to the last, plus once for the key domain
+    s = literal_sequent([f"p{a}" for a in range(1, 13)],
+                        [f"p{b}" for b in range(13, 25)])
+    calls = count_folds(monkeypatch)
+    verdict = brute_consequence(s)
+    assert verdict.countermodel.entries == {
+        **{("c", a): 1 for a in range(1, 13)},
+        **{("c", b): 0 for b in range(13, 25)}}
+    assert len(calls) <= 32
+
+
+def test_the_whole_prefix_decides(monkeypatch):
+    # p1 = 1 makes the conclusion true, so the walk sets p1 to 0; then
+    # p2 = 0 falsifies the premise and p2 = 1 makes the conclusion true,
+    # which p2 alone decides neither way, and the walk ends at p2
+    s = parse_sequent("p1 | p2 |- " + " | ".join(f"p{i}" for i in range(1, 25)))
+    calls = count_folds(monkeypatch)
+    assert brute_consequence(s).valid
+    assert len(calls) <= 2 + 2 * 2 * 2  # key domain, then two checks per key
+
+
+def test_undecided_prefixes_cost_two_checks(monkeypatch):
+    # no prefix decides excluded middle: both children of the root
+    # survive, and every one of the 2^4 blocks runs after the two checks
+    s = formula_sequent(" & ".join(f"(p{i} | ~p{i})" for i in range(1, 21)))
+    calls = count_folds(monkeypatch)
+    assert classical_valid(s).valid
+    assert len(calls) <= 2 ** (20 - 16) + 2 * 4 + 2

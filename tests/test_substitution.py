@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from lericone import substitution
 from lericone import (And, Atom, Imp, Neg, Or, Sequent, apply_lericone,
                       apply_plain, c_transform, faithful_key, godel,
                       godel_substitution, identity_substitution,
@@ -136,6 +138,45 @@ def test_godel_values():
             code = godel(word, atom)
             assert code not in seen, (word, atom, seen[code])
             seen[code] = (word, atom)
+
+
+def godel_by_trial_division(seq, atom):
+    """Prime-power code with the primes found afresh on every call."""
+    primes, candidate = [], 2
+    while len(primes) <= len(seq):
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    code = 2 ** atom
+    for prime, ch in zip(primes[1:], seq):
+        code *= prime ** ("lrcn".index(ch) + 1)
+    return code
+
+
+def test_godel_matches_trial_division(monkeypatch):
+    # a fresh prime list, grown out of order: long sequences first
+    monkeypatch.setattr(substitution, "_PRIMES", [2, 3])
+    rng = random.Random(41)
+    lengths = list(range(41))
+    rng.shuffle(lengths)
+    words = list(words_up_to(3))
+    for length in lengths:  # every length up to 40, c-terminated or not
+        for _ in range(4):
+            word = "".join(rng.choice("lrn") for _ in range(length))
+            words.append(word[:-1] + "c" if word and rng.random() < 0.5 else word)
+    for word in words:
+        atom = rng.randint(1, 9)
+        assert godel(word, atom) == godel_by_trial_division(word, atom), word
+
+
+def test_long_chain_godel_skeleton_is_fast(monkeypatch, capsys):
+    from lericone.cli import main
+    monkeypatch.setattr(substitution, "_PRIMES", [2, 3])
+    chain = " -> ".join(["p1"] * 600)  # keys with up to 599 symbols
+    start = time.perf_counter()
+    assert main(["skeleton", "--godel", chain]) == 0
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().err == ""
 
 
 def test_faithful_table_rejects_conflicts():
