@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Commands: annotate, prove, substitute, skeleton, share, check-proof,
-transform-proof, self-test.  Sequents on the command line separate
-premises with commas and use ``|-`` before the conclusion, e.g.
-``"p1, p1->p2 |- p2"``.
+One table, ``_COMMANDS``, declares each command's handler, help and
+arguments.  Sequents separate premises with commas and use ``|-`` before
+the conclusion, e.g. ``"p1, p1->p2 |- p2"``.
 
-Commands annotate to check-proof compute an exit code, a JSON payload
-and text lines, and hand them to one emitter: it prints the payload
-under ``--json``, else the text.  Errors raise; :func:`main` prints them.
+Commands annotate to check-proof hand an exit code, a JSON payload and
+text lines to one emitter, which prints the payload under ``--json``,
+else the text.  Errors raise; :func:`main` is their one exit path: one
+``error: ...`` line (``error: internal error: ...`` for a defect) and
+exit code 2.
 
 Exit codes: 0 for valid / witness found / checks passed, 1 for invalid /
 no witness / proof rejected, 2 for errors (including any internal
@@ -21,8 +22,7 @@ import json
 import sys
 
 from . import jsonio
-from .formula import (Imp, ParseError, parse, parse_sequent, render,
-                      render_sequent)
+from .formula import Imp, parse, parse_sequent, render, render_sequent
 from .hilbert import ProofCheckError, check_proof, conclusion, transform_proof
 from .relevance import certify_irrelevance, lericone_sharing
 from .semantics import _DEFAULT_CAP, CapacityError, brute_consequence, decide
@@ -199,83 +199,61 @@ def cmd_self_test(args) -> int:
     return EXIT_VALID if ok else EXIT_ERROR
 
 
+_MODE = ("--mode", {"choices": ["plain", "faithful"], "default": "plain"})
+
+# name -> (handler, help, arguments as (*flags, add_argument keywords));
+# every command also takes --json
+_COMMANDS = {
+    "annotate": (cmd_annotate, "print the annotated parse tree", [("formula", {})]),
+    "prove": (cmd_prove, "decide a sequent", [
+        ("sequent", {}), _MODE,
+        ("--method", {"choices": ["tableau", "brute", "skeleton", "all"],
+                      "default": "all"}),
+        ("--cap", {"type": int, "default": _DEFAULT_CAP,
+                   "help": "enumeration cap in keys (default %(default)s)"})]),
+    "substitute": (cmd_substitute, "apply a substitution at the root", [
+        ("formula", {}),
+        ("--godel", {"action": "store_true", "help": "use the prime-power atom coding"}),
+        ("--table", {"help": "substitution table JSON file"})]),
+    "skeleton": (cmd_skeleton, "injective renaming per (sequence, atom) key", [
+        ("sequent", {}), _MODE,
+        ("--godel", {"action": "store_true",
+                     "help": "key fresh atoms by the prime-power coding"})]),
+    "share": (cmd_share, "sharing witness or falsifying certificate",
+              [("formula", {}), _MODE]),
+    "check-proof": (cmd_check_proof, "validate a Hilbert proof file", [("proof", {})]),
+    "transform-proof": (cmd_transform_proof, "rebuild a proof under a substitution", [
+        ("proof", {}), ("table", {}),
+        ("-o", "--out", {"help": "write the transformed proof here"})]),
+    "self-test": (cmd_self_test, "seeded randomized cross-checks",
+                  [("--seed", {"type": int, "default": 0})]),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lericone", allow_abbrev=False,
         description="decision procedures for sequence-sensitive propositional logics")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, **kwargs):
+    for name, (func, help_text, arguments) in _COMMANDS.items():
         # no prefix matching: "--h" is an argument, not "--help"
-        return sub.add_parser(name, allow_abbrev=False, **kwargs)
-
-    def add_mode(p):
-        p.add_argument("--mode", choices=["plain", "faithful"], default="plain")
-
-    p = command("annotate", help="print the annotated parse tree")
-    p.add_argument("formula")
-    p.set_defaults(func=cmd_annotate)
-
-    p = command("prove", help="decide a sequent")
-    p.add_argument("sequent")
-    add_mode(p)
-    p.add_argument("--method", choices=["tableau", "brute", "skeleton", "all"],
-                   default="all")
-    p.add_argument("--cap", type=int, default=_DEFAULT_CAP,
-                   help="enumeration cap in keys (default %(default)s)")
-    p.set_defaults(func=cmd_prove)
-
-    p = command("substitute", help="apply a substitution at the root")
-    p.add_argument("formula")
-    p.add_argument("--godel", action="store_true",
-                   help="use the prime-power atom coding")
-    p.add_argument("--table", help="substitution table JSON file")
-    p.set_defaults(func=cmd_substitute)
-
-    p = command("skeleton", help="injective renaming per (sequence, atom) key")
-    p.add_argument("sequent")
-    add_mode(p)
-    p.add_argument("--godel", action="store_true",
-                   help="key fresh atoms by the prime-power coding")
-    p.set_defaults(func=cmd_skeleton)
-
-    p = command("share", help="sharing witness or falsifying certificate")
-    p.add_argument("formula")
-    add_mode(p)
-    p.set_defaults(func=cmd_share)
-
-    p = command("check-proof", help="validate a Hilbert proof file")
-    p.add_argument("proof")
-    p.set_defaults(func=cmd_check_proof)
-
-    p = command("transform-proof", help="rebuild a proof under a substitution")
-    p.add_argument("proof")
-    p.add_argument("table")
-    p.add_argument("-o", "--out", help="write the transformed proof here")
-    p.set_defaults(func=cmd_transform_proof)
-
-    p = command("self-test", help="seeded randomized cross-checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_self_test)
-
-    for p in sub.choices.values():
+        p = sub.add_parser(name, allow_abbrev=False, help=help_text)
+        for *flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--json", action="store_true", help="JSON output")
+        p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CapacityError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
-        return EXIT_ERROR
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
-        return EXIT_ERROR
-    except AssertionError as exc:  # a failed internal cross-check
+    except Exception as exc:  # a failed internal cross-check or any other defect
         print(f"error: internal error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 Formulas are immutable values built from atoms ``p1, p2, ...`` (arbitrary
 precision indices, >= 1) with negation ``~``, conjunction ``&``, disjunction
-``|`` and the conditional ``->``.  Precedence is ``~ > & > | > ->``; the
-conditional is right-associative, the lattice connectives left-associative.
+``|`` and the conditional ``->``.  Precedence is ``~ > & > | > ->``, from one
+table (``_BINARY``) that parsing, rendering and ``lericone.generate`` share;
+the conditional is right-associative, the lattice connectives left-associative.
 The text syntax is bounded by the interpreter's limit on integer string
-conversion (4,300 digits by default): ``parse`` rejects a longer index, and
-``render`` raises ``ValueError`` on one.  The parser is one precedence loop
+conversion (4,300 digits by default): ``parse`` and ``render`` reject a
+longer index with a ``ValueError``.  The parser is one precedence loop
 on an explicit stack, so parsing has no depth limit; ``render``, ``==``
 and ``hash`` still recurse, and fail a few hundred levels down.
 
@@ -20,6 +21,7 @@ so the functions here import those two when called.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -193,26 +195,26 @@ def parse_sequent(text: str) -> Sequent:
 
 # -- rendering ---------------------------------------------------------------
 
-_PRECEDENCE = {Imp: 1, Or: 2, And: 3, Neg: 4, Atom: 5}
+# node -> (" symbol ", precedence), read off the parser's table; "~" binds at 4
+_INFIX = {node: (f" {symbol} ", prec) for symbol, (prec, node) in _BINARY.items()}
+_NEG = 4
 
 
 def _render(f: Formula, parent_prec: int) -> str:
-    prec = _PRECEDENCE[type(f)]
-    if isinstance(f, Atom):
-        return f"p{f.index}"
-    if isinstance(f, Neg):
-        return "~" + _render(f.child, prec)
-    symbol = {And: "&", Or: "|", Imp: "->"}[type(f)]
-    if isinstance(f, Imp):
-        # binary operands of a conditional are always parenthesised
-        text = (_render(f.left, _PRECEDENCE[Neg]) + f" {symbol} "
-                + _render(f.right, _PRECEDENCE[Neg]))
-    else:
-        # left-associative chains
-        text = _render(f.left, prec) + f" {symbol} " + _render(f.right, prec + 1)
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    kind = type(f)
+    if kind is Atom:
+        try:
+            return f"p{f.index}"
+        except ValueError:  # past the interpreter's integer string limit
+            raise ValueError("atom index too long to render: more than "
+                             f"{sys.get_int_max_str_digits():,} digits") from None
+    if kind is Neg:
+        return "~" + _render(f.child, _NEG)
+    symbol, prec = _INFIX[kind]
+    # a conditional parenthesises binary operands; "&" and "|" chain leftwards
+    left, right = (_NEG, _NEG) if kind is Imp else (prec, prec + 1)
+    text = _render(f.left, left) + symbol + _render(f.right, right)
+    return f"({text})" if prec < parent_prec else text
 
 
 def render(f: Formula) -> str:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from itertools import count, product
 
-from .formula import And, Atom, Formula, Imp, Neg, Or
+from .formula import _BINARY, Atom, Formula, Imp, Neg, Or
 from .hilbert import (_RULES, AXIOM_SCHEMAS, AxiomRef, HilbertProof,
                       ProofLine, RuleRef, _logic, match_axiom)
 from .seq import faithful_key
@@ -17,7 +17,7 @@ __all__ = [
     "random_proof", "exhaustive_formulas",
 ]
 
-_BINARY = (And, Or, Imp)
+_CONNECTIVES = tuple(node for _, node in _BINARY.values())  # And, Or, Imp
 
 
 def random_formula(rng: random.Random, atoms=(1, 2, 3),
@@ -25,7 +25,7 @@ def random_formula(rng: random.Random, atoms=(1, 2, 3),
     """Random shape with exactly the given connective count."""
     if connectives == 0:
         return Atom(rng.choice(atoms))
-    kind = rng.choice((Neg,) + _BINARY)
+    kind = rng.choice((Neg,) + _CONNECTIVES)
     if kind is Neg:
         return Neg(random_formula(rng, atoms, connectives - 1))
     left_budget = rng.randint(0, connectives - 1)
@@ -135,8 +135,6 @@ def exhaustive_formulas(max_connectives: int, atoms=(1, 2)):
             right_size = n - 1 - left_size
             for left in by_count[left_size]:
                 for right in by_count[right_size]:
-                    layer.append(And(left, right))
-                    layer.append(Or(left, right))
-                    layer.append(Imp(left, right))
+                    layer.extend(node(left, right) for node in _CONNECTIVES)
         by_count.append(layer)
         yield from layer

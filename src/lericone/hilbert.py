@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, render
-from .substitution import apply_lericone, shift, t_of
+from .substitution import LericoneSubstitution, apply_lericone, shift, t_of
 
 __all__ = [
     "AxiomRef", "RuleRef", "ProofLine", "HilbertProof", "ProofCheckError",
@@ -222,8 +222,11 @@ def check_proof(pr: HilbertProof) -> None:
 def transform_proof(pr: HilbertProof, s) -> HilbertProof:
     """Proof of the substitution image of the conclusion, same logic.
 
-    Requires a checked proof; for logic B the substitution must be
-    faithful, otherwise the A9 and R5 cases cannot be discharged.
+    Requires a checked proof and a finite table, a
+    :class:`~lericone.substitution.LericoneSubstitution`; anything else,
+    such as ``star(...)`` or ``godel_substitution()``, raises ``TypeError``.
+    For logic B the table must be faithful, otherwise the A9 and R5 cases
+    cannot be discharged.
 
     Lines come out in the order of a recursive rebuild: each premise's
     block, left to right, then the line itself.  The first visit of a
@@ -232,6 +235,9 @@ def transform_proof(pr: HilbertProof, s) -> HilbertProof:
     value, each premise's substitution is derived once per (substitution,
     context), and the closing ``check_proof`` alone verifies the result.
     """
+    if not isinstance(s, LericoneSubstitution):
+        raise TypeError("transform_proof needs a finite substitution table "
+                        f"(LericoneSubstitution), got {type(s).__name__}")
     check_proof(pr)
     if _LOGICS[pr.logic].faithful and not s.is_faithful:
         raise ValueError(f"transforming a {pr.logic} proof requires a "

@@ -140,29 +140,23 @@ def shift(s: LericoneSubstitution, context: str) -> LericoneSubstitution:
         raise ValueError(f"shift context must be c-free: {context!r}")
     if s.is_plain:
         return s
+    faithful = s.keying == "faithful"
     table = {}
-    if s.keying == "raw":
-        suffix = context + "c"
-        for (seq, atom), image in s.entries.items():
-            if seq.endswith(suffix):
-                table[(seq[:-len(suffix)] + "c", atom)] = image
-    else:
-        # invert x -> reduct(x + context) one appended symbol at a time
-        for (seq, atom), image in s.entries.items():
-            if not seq.endswith("c"):
-                continue
-            word = seq[:-1]
-            ok = True
-            for ch in reversed(context):
-                if ch == "n":
-                    word = reduct(word + "n")  # appending n is an involution
-                elif word.endswith(ch):
-                    word = word[:-1]
-                else:
-                    ok = False
-                    break
-            if ok:
-                table[(word + "c", atom)] = image
+    for (seq, atom), image in s.entries.items():
+        if not seq.endswith("c"):
+            continue
+        # invert x -> x + context (faithful: reduct(x + context)) one
+        # appended symbol at a time, right to left
+        word = seq[:-1]
+        for ch in reversed(context):
+            if faithful and ch == "n":
+                word = reduct(word + "n")  # appending n is an involution
+            elif word.endswith(ch):
+                word = word[:-1]
+            else:
+                break
+        else:
+            table[(word + "c", atom)] = image
     return LericoneSubstitution(table, keying=s.keying)
 
 

@@ -215,6 +215,19 @@ def test_internal_defect_exits_2(capsys, monkeypatch):
                "reduction\n")
 
 
+def test_any_internal_fault_exits_2(capsys, monkeypatch):
+    from lericone import cli
+
+    def broken(sequent):
+        raise TypeError("unsupported operand")
+
+    # a defect outside every expected error class is still exit 2 with one
+    # line, never a traceback and exit 1
+    monkeypatch.setattr(cli, "render_sequent", broken)
+    assert run(capsys, "prove", "p1 -> p1") == (
+        2, "", "error: internal error: unsupported operand\n")
+
+
 def test_prove_over_cap_falls_back_to_tableau(capsys):
     wide = " | ".join(f"(p{i} -> p{i + 1})" for i in range(2, 28, 2))
     code, out, _ = run(capsys, "prove", f"(p1 -> p2) -> ({wide})", "--json")
@@ -492,3 +505,57 @@ def test_option_like_sequent_after_double_dash_is_parsed(capsys):
     code, out, err = run(capsys, "prove", "--", "--h")
     assert (code, out) == (2, "")
     assert err.startswith("error: at offset 0: unexpected '-'")
+
+
+# command -> (positional count, options taking a value with typical values,
+# flags); self-test is left out, as it takes seconds
+_MODES = ["plain", "faithful"]
+_COMMAND_SHAPES = {
+    "annotate": (1, {}, []),
+    "prove": (1, {"--mode": _MODES, "--method": ["tableau", "brute", "skeleton", "all"],
+                  "--cap": ["0", "3", "24"]}, []),
+    "substitute": (1, {"--table": ["table.json", "proof.json"]}, ["--godel"]),
+    "skeleton": (1, {"--mode": _MODES}, ["--godel"]),
+    "share": (1, {"--mode": _MODES}, []),
+    "check-proof": (1, {}, []),
+    "transform-proof": (2, {"-o": ["out.json"], "--out": ["out.json"]}, []),
+}
+_TYPICAL = ["p1", "p0", "~p1 -> (p1 -> p2)", "p1 |- p1", "p1, p1 -> p2 |- p2",
+            "p1 & (p2", "proof.json", "table.json", "missing.json"]
+_ANY_TOKEN = st.text(max_size=8) | st.sampled_from(["-", "--h", "-x", "--cap", "-o"])
+
+
+@settings(max_examples=2_000, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_COMMAND_SHAPES)), data=st.data())
+def test_every_command_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys,
+                                                     command, data):
+    """Arbitrary arguments to every command but self-test: the exit code is
+    0, 1 or 2, 0 and 1 come with output on stdout, and nothing but
+    argparse's SystemExit(2) leaves ``main``."""
+    def argument(typical):  # mostly a typical value, else any token at all
+        if data.draw(st.integers(0, 3)):
+            return data.draw(st.sampled_from(typical))
+        return data.draw(_ANY_TOKEN)
+
+    positionals, valued, flags = _COMMAND_SHAPES[command]
+    argv = [command]
+    for _ in range(data.draw(st.integers(0, 3))):
+        argv.append(data.draw(st.sampled_from(sorted(valued) + flags + ["--json"])))
+        if argv[-1] in valued:
+            argv.append(argument(valued[argv[-1]]))
+    if data.draw(st.booleans()):
+        argv.append("--")
+    argv += [argument(_TYPICAL) for _ in range(positionals)]
+    argv += data.draw(st.lists(_ANY_TOKEN, max_size=1))  # now and then, one more
+    argv = [token for token in argv if token not in ("-h", "--help")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "proof.json").write_text(json.dumps(_FUZZ_PROOF))
+    (tmp_path / "table.json").write_text(json.dumps(_FUZZ_TABLE))
+    try:
+        code, out, _ = run(capsys, *argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    assert code in (0, 1, 2), argv
+    assert code == 2 or out, argv

@@ -6,7 +6,7 @@ from lericone import (And, Atom, Imp, Neg, Or, ParseError, PathError, Sequent,
                       atom_occurrences, parse, parse_sequent, render,
                       render_sequent, subformula_at)
 from lericone.formula import all_paths, atoms_of, size
-from lericone.generate import random_formula
+from lericone.generate import exhaustive_formulas, random_formula
 
 from conftest import F, p1, p2, p3
 
@@ -69,6 +69,64 @@ def test_large_atom_indices():
     f = parse("p20250")
     assert f == Atom(20250)
     assert parse(render(Atom(10 ** 40))) == Atom(10 ** 40)
+    # past the interpreter's integer string limit: a message about the
+    # atom index, not the interpreter's advice
+    with pytest.raises(ValueError, match="^atom index too long to render: "
+                                         "more than 4,300 digits$"):
+        render(Imp(p1, Neg(Atom(2 ** 20000))))
+
+
+_PREVIOUS_PRECEDENCE = {Imp: 1, Or: 2, And: 3, Neg: 4, Atom: 5}
+
+
+def _previous_render(f, parent_prec=0):
+    """The printer as it was before it read the parser's connective table."""
+    prec = _PREVIOUS_PRECEDENCE[type(f)]
+    if isinstance(f, Atom):
+        return f"p{f.index}"
+    if isinstance(f, Neg):
+        return "~" + _previous_render(f.child, prec)
+    symbol = {And: "&", Or: "|", Imp: "->"}[type(f)]
+    if isinstance(f, Imp):
+        text = (_previous_render(f.left, 4) + f" {symbol} "
+                + _previous_render(f.right, 4))
+    else:
+        text = (_previous_render(f.left, prec) + f" {symbol} "
+                + _previous_render(f.right, prec + 1))
+    return f"({text})" if prec < parent_prec else text
+
+
+def test_render_matches_the_previous_printer():
+    formulas = list(exhaustive_formulas(4))
+    assert len(formulas) == 56_842  # every formula over p1, p2 up to 4 connectives
+    rng = random.Random(17)
+    formulas += [random_formula(rng, (1, 2, 3, 12), rng.randint(5, 60))
+                 for _ in range(10_000)]
+    for f in formulas:
+        assert render(f) == _previous_render(f)
+
+
+def _previous_random_formula(rng, atoms, connectives):
+    """The generator's draws as they were with a literal (And, Or, Imp)."""
+    if connectives == 0:
+        return Atom(rng.choice(atoms))
+    kind = rng.choice((Neg, And, Or, Imp))
+    if kind is Neg:
+        return Neg(_previous_random_formula(rng, atoms, connectives - 1))
+    left_budget = rng.randint(0, connectives - 1)
+    return kind(_previous_random_formula(rng, atoms, left_budget),
+                _previous_random_formula(rng, atoms, connectives - 1 - left_budget))
+
+
+def test_generators_take_the_connectives_in_table_order():
+    ours, previous = random.Random(5), random.Random(5)
+    for _ in range(2_000):
+        size = ours.randint(0, 12)
+        assert size == previous.randint(0, 12)
+        assert (random_formula(ours, (1, 2, 3), size)
+                == _previous_random_formula(previous, (1, 2, 3), size))
+    layer = list(exhaustive_formulas(1, atoms=(1,)))
+    assert layer == [p1, Neg(p1), And(p1, p1), Or(p1, p1), Imp(p1, p1)]
 
 
 def test_subformula_at():

@@ -8,11 +8,12 @@ the package's own generators moves no digest.  Temporary paths read as
 ``<tmp>``.  A call that argparse rejects would hash usage text that varies
 across Python versions, so the corpus holds none.
 
-A change that alters a digest on purpose regenerates the file with
+A change that alters a digest on purpose regenerates the groups it changes
+with
 
-    PYTHONPATH=src python tests/regen_golden.py
+    PYTHONPATH=src python tests/regen_golden.py GROUP...
 
-and says in CHANGES.md which group changed and why.
+and says in CHANGES.md which calls changed and why.
 """
 
 from __future__ import annotations
@@ -372,10 +373,7 @@ def call(argv, files, tmp):
     real = [arg.replace(TMP, tmp) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(real)
-        except SystemExit as exc:  # argparse; its text is left out
-            code, err = f"SystemExit({exc.code})", io.StringIO()
+        code = main(real)
     written = None
     if "-o" in real:
         target = Path(real[real.index("-o") + 1])

@@ -10,7 +10,7 @@ from lericone import hilbert, jsonio
 from lericone.hilbert import (AxiomRef, HilbertProof, ProofCheckError,
                               ProofLine, RuleRef)
 from lericone.generate import random_proof, random_substitution
-from lericone.substitution import shift, t_of
+from lericone.substitution import godel_substitution, shift, star, t_of
 from lericone.relevance import lericone_sharing
 from lericone.tableau import prove
 
@@ -139,6 +139,18 @@ def test_transform_a9_needs_faithful():
     faithful = LericoneSubstitution({("c", 1): F("p2")}, keying="faithful")
     out = transform_proof(pr, faithful)
     assert out.lines[-1].formula == F("~~p2 -> p2")
+
+
+def test_transform_takes_finite_tables_only():
+    pr = HilbertProof("BM", (axiom_line("p1 -> p1", "A1"),
+                             axiom_line("(p1 -> p1) -> ((p1 -> p1) | p2)", "A3"),
+                             ProofLine(F("(p1 -> p1) | p2"), RuleRef("R2", (0, 1)))))
+    raw = LericoneSubstitution({("c", 1): F("p3")})
+    for lazy in (godel_substitution(), star(raw, raw)):
+        with pytest.raises(TypeError, match="finite substitution table"):
+            transform_proof(pr, lazy)
+    out = transform_proof(pr, raw)
+    assert out.lines[-1].formula == apply_lericone(raw, "", F("(p1 -> p1) | p2"))
 
 
 def test_transform_double_negation_via_contraposition():

@@ -12,6 +12,8 @@ from lericone import (And, Atom, Imp, Neg, Or, Sequent, apply_lericone,
 from lericone.generate import (random_formula, random_sequence,
                                random_substitution)
 
+from lericone.seq import reduct
+
 from conftest import F, p1, p2, words_up_to
 
 
@@ -125,6 +127,48 @@ def test_shift_pointwise_identity_extends_to_formulas():
         f = random_formula(rng, (1, 2, 3), rng.randint(0, 4))
         assert apply_lericone(shift(sigma, context), word + "c", f) == \
             apply_lericone(sigma, word + context + "c", f)
+
+
+def _previous_shift(s, context):
+    """``shift`` as it was, with one branch per keying."""
+    if s.is_plain:
+        return s
+    table = {}
+    if s.keying == "raw":
+        suffix = context + "c"
+        for (seq, atom), image in s.entries.items():
+            if seq.endswith(suffix):
+                table[(seq[:-len(suffix)] + "c", atom)] = image
+    else:
+        for (seq, atom), image in s.entries.items():
+            if not seq.endswith("c"):
+                continue
+            word = seq[:-1]
+            ok = True
+            for ch in reversed(context):
+                if ch == "n":
+                    word = reduct(word + "n")
+                elif word.endswith(ch):
+                    word = word[:-1]
+                else:
+                    ok = False
+                    break
+            if ok:
+                table[(word + "c", atom)] = image
+    return LericoneSubstitution(table, keying=s.keying)
+
+
+def test_shift_matches_the_two_branch_version():
+    rng = random.Random(53)
+    contexts = list(words_up_to(4, with_c=False))
+    assert len(contexts) == 121
+    for keying in ("raw", "faithful"):
+        for _ in range(500):
+            sigma = random_substitution(rng, keying, entries=rng.randint(1, 8))
+            for context in contexts:
+                ours, previous = shift(sigma, context), _previous_shift(sigma, context)
+                assert ours == previous
+                assert list(ours.entries.items()) == list(previous.entries.items())
 
 
 def test_godel_values():
