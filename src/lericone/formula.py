@@ -9,7 +9,9 @@ The text syntax is bounded by the interpreter's limit on integer string
 conversion (4,300 digits by default): ``parse`` and ``render`` reject a
 longer index with a ``ValueError``.  The parser is one precedence loop
 on an explicit stack, so parsing has no depth limit; ``render``, ``==``
-and ``hash`` still recurse, and fail a few hundred levels down.
+and ``hash`` still recurse, and fail a few hundred levels down.  Under the
+intern table ``jsonio.proof_from_json`` passes per document, equal
+subformulas are one object, so ``==`` on them does not descend.
 
 Subformula occurrences are addressed by paths: tuples of child selectors,
 ``"only"`` for the child of a negation and ``"left"``/``"right"`` for the
@@ -100,9 +102,30 @@ class PathError(ValueError):
 # -- parsing ----------------------------------------------------------------
 
 _BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Imp)}  # precedence, node
+_PREFIX, _PER_PREFIX = 16, 4  # how an intern table indexes the texts it parsed
 
 
-def _parse_from(text: str, pos: int) -> Formula:
+def _remember(whole: str, node: Formula, nodes: dict) -> None:
+    """Record in an intern table that ``whole`` parsed to ``node``."""
+    nodes[whole] = node
+    if len(whole) >= _PREFIX:
+        known = nodes.setdefault(("(", whole[:_PREFIX]), [])
+        if len(known) < _PER_PREFIX:
+            known.append(whole)
+
+
+def _recall(text: str, pos: int, nodes: dict) -> tuple:
+    """For an operand ``(T)`` at ``pos`` whose T an intern table saw parsed
+    whole, T's formula and the offset after the ")"; else ``(None, pos)``.
+    T parsed whole, so its parentheses balance and that ")" closes the "("."""
+    for known in nodes.get(("(", text[pos + 1:pos + 1 + _PREFIX]), ()):
+        after = pos + 1 + len(known)
+        if text.startswith(known, pos + 1) and text.startswith(")", after):
+            return nodes[known], after + 1
+    return None, pos
+
+
+def _parse_from(text: str, pos: int, nodes: dict | None = None) -> Formula:
     """Parse ``text[pos:]`` by operator precedence over the grammar
 
         formula := unary (("&" | "|" | "->") unary)* ;
@@ -111,7 +134,17 @@ def _parse_from(text: str, pos: int) -> Formula:
     with ``_BINARY``'s precedences; ``->`` associates to the right.  One
     explicit stack holds each pending ``~`` and ``(`` and each binary
     operator with its left operand, so nesting meets no recursion limit.
+
+    ``nodes``, if given, is an intern table shared by the texts of one
+    document: atoms key by index, other nodes by ``(type, id(child), ...)``,
+    and each node is built once, so equal subformulas are one object.  The
+    table holds every node it keys, so no id in it is reused while it lives.
+    It also maps each text parsed whole to its formula, so a text that
+    recurs, whole or as a parenthesised operand, is not parsed again.
     """
+    if nodes is not None and text[pos:] in nodes:
+        return nodes[text[pos:]]
+    first = pos
     stack: list = []
     node = None  # the operand just read; None while one is due
     end = len(text)
@@ -120,6 +153,10 @@ def _parse_from(text: str, pos: int) -> Formula:
             pos += 1
         ch = text[pos:pos + 1]
         if node is None:
+            if ch == "(" and nodes is not None:
+                node, pos = _recall(text, pos, nodes)
+                if node is not None:
+                    continue
             if ch in ("~", "("):
                 stack.append(ch)
                 pos += 1
@@ -140,18 +177,27 @@ def _parse_from(text: str, pos: int) -> Formula:
                                  ("fewer digits",)) from None
             if index < 1:
                 raise ParseError("atom index 0 is not allowed", start, ("index >= 1",))
-            node = Atom(index)
+            node = Atom(index) if nodes is None else nodes.get(index)
+            if node is None:
+                node = nodes[index] = Atom(index)
             continue
         while stack and stack[-1] == "~":
             stack.pop()
-            node = Neg(node)
+            child = node
+            node = Neg(child) if nodes is None else nodes.get((Neg, id(child)))
+            if node is None:
+                node = nodes[Neg, id(child)] = Neg(child)
         op = "->" if text.startswith("->", pos) else ch
         prec, make = _BINARY.get(op, (0, None))
         # close the operators that bind at least as tightly; "->" waits
         # for its right operand to close another "->"
         while stack and stack[-1] != "(" and stack[-1][0] >= prec + (op == "->"):
             _, close, left = stack.pop()
-            node = close(left, node)
+            right = node
+            node = (close(left, right) if nodes is None
+                    else nodes.get((close, id(left), id(right))))
+            if node is None:
+                node = nodes[close, id(left), id(right)] = close(left, right)
         if make is not None:
             stack.append((prec, make, node))
             pos += len(op)
@@ -164,6 +210,8 @@ def _parse_from(text: str, pos: int) -> Formula:
         elif pos < end:
             raise ParseError(f"trailing input {text[pos:]!r}", pos)
         else:
+            if nodes is not None:
+                _remember(text[first:], node, nodes)
             return node
 
 

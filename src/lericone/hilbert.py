@@ -24,7 +24,9 @@ the output, as in the paper's construction, but each (line,
 substitution) pair is rebuilt once: later uses replay its block of
 output lines with renumbered premises.  The rebuild runs on an explicit
 stack, so proof depth meets no recursion limit; its memo keys by
-substitution value.  ``check_proof`` on the result is its only verifier.
+substitution value.  ``check_proof`` on the result is its only verifier;
+a replayed line restates the formula objects of the block it copies, so
+``check_proof`` passes it on a set probe.
 """
 
 from __future__ import annotations
@@ -180,8 +182,16 @@ def match_axiom(f: Formula, logic: str = "BM") -> Optional[tuple]:
 
 
 def check_proof(pr: HilbertProof) -> None:
-    """Validate every line; raises ProofCheckError naming the first bad line."""
+    """Validate every line; raises ProofCheckError naming the first bad line.
+
+    A line whose formula, justification and premise formulas are the very
+    objects of a line that passed earlier in the call is not checked again;
+    premise references are range-checked on every line first.
+    """
     logic = _LOGICS[pr.logic]
+    # (id(formula), axiom) or (id(formula), rule, id(premise)...) per line
+    # that passed; pr.lines keeps every such formula, so no id is reused
+    passed: set = set()
     for i, line in enumerate(pr.lines):
         just = line.just
         if isinstance(just, AxiomRef):
@@ -190,7 +200,8 @@ def check_proof(pr: HilbertProof) -> None:
             if just.axiom not in logic.axioms:
                 raise ProofCheckError(
                     i, f"{just.axiom} is not available in {pr.logic}")
-            if not any(_instances(line.formula, (just.axiom,))):
+            key = (id(line.formula), just.axiom)
+            if key not in passed and not any(_instances(line.formula, (just.axiom,))):
                 raise ProofCheckError(
                     i, f"{render(line.formula)} is not an instance of {just.axiom}")
         elif isinstance(just, RuleRef):
@@ -207,7 +218,11 @@ def check_proof(pr: HilbertProof) -> None:
                 if not 0 <= ref < i:
                     raise ProofCheckError(i, f"premise reference {ref + 1} is not "
                                              "an earlier line")
-            expected = conclude(*[pr.lines[ref].formula for ref in just.premises])
+            premises = [pr.lines[ref].formula for ref in just.premises]
+            key = (id(line.formula), just.rule, *map(id, premises))
+            if key in passed:
+                continue
+            expected = conclude(*premises)
             if expected is None:
                 raise ProofCheckError(
                     i, f"premises do not fit the shape of {just.rule}")
@@ -217,6 +232,7 @@ def check_proof(pr: HilbertProof) -> None:
                        f"line states {render(line.formula)}")
         else:
             raise ProofCheckError(i, f"unknown justification {just!r}")
+        passed.add(key)
 
 
 def transform_proof(pr: HilbertProof, s) -> HilbertProof:

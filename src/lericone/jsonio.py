@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .formula import parse, render
+from .formula import _parse_from, parse, render
 from .hilbert import AxiomRef, HilbertProof, ProofLine, RuleRef, match_axiom
 from .relevance import SharingWitness
 from .semantics import Assignment, Verdict
@@ -49,6 +49,13 @@ def _entries_to_json(table, field: str, encode) -> list:
             for (seq, atom), value in sorted(table.entries.items())]
 
 
+def _text(value, noun: str) -> str:
+    """``value`` if it is a string, else a ValueError naming the field."""
+    if type(value) is not str:
+        raise ValueError(f"{noun} must be strings, got {value!r}")
+    return value
+
+
 def _entries_from_json(entries, keying: str, field: str, decode) -> dict:
     """Inverse of :func:`_entries_to_json`; a missing ``seq`` is ε.  Entries
     repeating a key must agree, as ``seq.keyed_table`` asks of merged keys."""
@@ -57,7 +64,7 @@ def _entries_from_json(entries, keying: str, field: str, decode) -> dict:
         atom = e["atom"]
         if type(atom) is not int or atom < 1:
             raise ValueError(f"atoms must be integers >= 1, got {atom!r}")
-        key = atom if keying == "plain" else (e.get("seq", ""), atom)
+        key = atom if keying == "plain" else (_text(e.get("seq", ""), "sequences"), atom)
         value = decode(e[field])
         if table.setdefault(key, value) != value:
             raise ValueError(f"conflicting {field}s at {key}")
@@ -69,7 +76,8 @@ def substitution_from_json(data) -> LericoneSubstitution:
         data = {"keying": "raw", "entries": data}
     with _decoding("substitution table"):
         keying = data.get("keying", "raw")
-        table = _entries_from_json(data["entries"], keying, "image", parse)
+        table = _entries_from_json(data["entries"], keying, "image",
+                                   lambda image: parse(_text(image, "images")))
         return LericoneSubstitution(table, keying=keying)
 
 
@@ -142,7 +150,11 @@ def proof_to_json(pr: HilbertProof) -> dict:
 
 
 def proof_from_json(data) -> HilbertProof:
+    """The proof a document describes; its formulas share one intern table,
+    so equal subformulas within the document are one object, and a line
+    text that recurs, whole or in parentheses, is not parsed again."""
     lines = []
+    nodes: dict = {}
     with _decoding("proof"):
         for entry in data["lines"]:
             just = entry["just"]
@@ -158,7 +170,8 @@ def proof_from_json(data) -> HilbertProof:
                     raise ValueError(f"premise references must be line numbers: "
                                      f"{refs!r}")
                 ref = RuleRef(just["rule"], tuple(i - 1 for i in refs))
-            lines.append(ProofLine(parse(entry["formula"]), ref))
+            formula = _parse_from(_text(entry["formula"], "formulas"), 0, nodes)
+            lines.append(ProofLine(formula, ref))
         return HilbertProof(data["logic"], tuple(lines))
 
 

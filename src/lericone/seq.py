@@ -261,20 +261,27 @@ class KeyedTable:
 
     A subclass has ``entries`` and ``keying`` fields, calls
     :meth:`_key_entries` once built, and gives an absent key's value as
-    ``_missing(atom)``.  ``lookup`` probes the normalised entries once.
+    ``_missing(atom)``.  The table is immutable, so ``lookup`` normalises
+    each distinct (sequence, atom) once and remembers the value.
     """
 
     def _key_entries(self, noun: str) -> None:
         object.__setattr__(self, "entries",
                            keyed_table(self.entries, self.keying, noun))
         object.__setattr__(self, "_key", table_key(self.keying))
+        object.__setattr__(self, "_values", {})  # (seq, atom) -> value
 
     @property
     def is_faithful(self) -> bool:
         return self.keying in ("faithful", "plain")
 
     def lookup(self, seq: str, atom: int):
-        return self.entries.get(self._key(seq, atom), self._missing(atom))
+        value = self._values.get((seq, atom))
+        if value is None:
+            key = self._key(seq, atom)
+            value = self._values[seq, atom] = (
+                self.entries[key] if key in self.entries else self._missing(atom))
+        return value
 
 
 def polarity(seq: str) -> str:

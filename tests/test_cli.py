@@ -278,6 +278,32 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, proof, table):
     assert code == 2 and "error" in err
 
 
+_ONE_LINE = {"logic": "BM", "lines": [{"formula": "p1 -> p1", "just": {"axiom": "A1"}}]}
+
+
+@pytest.mark.parametrize("proof, table, message", [
+    ({"logic": "BM", "lines": [{"formula": 5, "just": {"axiom": "A1"}}]}, None,
+     "formulas must be strings, got 5"),
+    ({"logic": "BM", "lines": [{"formula": None, "just": {"axiom": "A1"}}]}, None,
+     "formulas must be strings, got None"),
+    (_ONE_LINE, {"keying": "raw", "entries": [{"seq": "c", "atom": 1, "image": 5}]},
+     "images must be strings, got 5"),
+    (_ONE_LINE, {"keying": "raw", "entries": [{"seq": 5, "atom": 1, "image": "p2"}]},
+     "sequences must be strings, got 5"),
+    (_ONE_LINE, {"keying": "faithful", "entries": [{"seq": ["c"], "atom": 1,
+                                                    "image": "p2"}]},
+     "sequences must be strings, got ['c']"),
+])
+def test_decoders_name_the_field(tmp_path, capsys, proof, table, message):
+    proof_file, table_file = tmp_path / "proof.json", tmp_path / "table.json"
+    proof_file.write_text(json.dumps(proof))
+    argv = ["check-proof", str(proof_file)]
+    if table is not None:
+        table_file.write_text(json.dumps(table))
+        argv = ["transform-proof", str(proof_file), str(table_file)]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_deep_formula_exits_2(capsys):
     code, _, err = run(capsys, "prove", "~" * 1200 + "p1")
     assert code == 2 and "error: formula nested too deeply" in err

@@ -317,6 +317,48 @@ def test_parser_agrees_with_the_recursive_descent_reference():
     assert 2_000 < parsed < len(texts) - 2_000
 
 
+def test_a_shared_intern_table_parses_as_a_parse_per_text(monkeypatch):
+    # texts read in turn with one table, as proof_from_json reads a
+    # document's lines, give the trees and ParseErrors of separate parses,
+    # also where a text restates earlier ones, whole or in parentheses
+    from lericone import formula
+    recalled = []
+    recall = formula._recall
+
+    def recalling(text, pos, nodes):
+        node, after = recall(text, pos, nodes)
+        if node is not None:
+            recalled.append(text)
+        return node, after
+
+    monkeypatch.setattr(formula, "_recall", recalling)
+    rng = random.Random(2025)
+    pieces = list("p0123456789~&|->() \t") + ["p1", "->", "()"]
+    hits = [0, 0]  # texts with a recalled operand that fail, that parse
+    for _ in range(600):
+        nodes: dict = {}
+        texts = []
+        for _ in range(rng.randint(1, 10)):
+            if texts and rng.random() < 0.7:
+                left, right = rng.choice(texts), rng.choice(texts)
+                text = rng.choice(["({}) {} ({})", "~({}) {} ({})", "({}){}({})"]).format(
+                    left, rng.choice(["&", "|", "->"]), right)
+            else:
+                text = render(random_formula(rng, (1, 2, 3, 10), rng.randint(0, 6)))
+            if rng.random() < 0.25:  # one insertion or deletion
+                i = rng.randrange(len(text) + 1)
+                text = (text[:i] + rng.choice(pieces) + text[i:] if rng.random() < 0.5
+                        else text[:i] + text[i + 1:])
+            texts.append(text)
+            before = len(recalled)
+            shared = _outcome(lambda t: formula._parse_from(t, 0, nodes), text)
+            assert shared == _outcome(parse, text), text
+            if len(recalled) > before:
+                hits[isinstance(shared, str)] += 1
+    # both outcomes follow a recalled operand
+    assert min(hits) > 200
+
+
 def test_parse_has_no_depth_limit():
     n = 100_000
     node = parse("~" * n + "p1")

@@ -6,12 +6,13 @@ import pytest
 from lericone import (And, Imp, Neg, Sequent, apply_lericone, check_proof,
                       decide, match_axiom, parse, render, transform_proof,
                       LericoneSubstitution)
-from lericone import hilbert, jsonio
+from lericone import formula, hilbert, jsonio
 from lericone.hilbert import (AxiomRef, HilbertProof, ProofCheckError,
                               ProofLine, RuleRef)
 from lericone.generate import random_proof, random_substitution
 from lericone.substitution import godel_substitution, shift, star, t_of
 from lericone.relevance import lericone_sharing
+from lericone.seq import occurrences
 from lericone.tableau import prove
 
 from conftest import F
@@ -313,6 +314,24 @@ def r2_chain(length):
     return HilbertProof("BM", tuple(lines))
 
 
+def test_check_matches_each_distinct_axiom_line_once(monkeypatch):
+    # the 8-level reuse proof's transform restates its axiom lines 511
+    # times over 9 distinct formula objects; each is matched once
+    sigma = LericoneSubstitution({("c", 1): F("p3 & p4"), ("lc", 2): F("~p1"),
+                                  ("rc", 1): F("p2")})
+    out = transform_proof(reuse_proof("BM", F("p1 -> (p1 | p2)"), "A3", 8), sigma)
+    axiom_lines = [(line.formula, line.just.axiom) for line in out.lines
+                   if isinstance(line.just, AxiomRef)]
+    assert (len(out.lines), len(axiom_lines)) == (1021, 511)
+    calls = []
+    instances = hilbert._instances
+    monkeypatch.setattr(hilbert, "_instances", lambda f, axioms: calls.append(
+        (id(f), *axioms)) or instances(f, axioms))
+    check_proof(out)
+    distinct = {(id(f), axiom) for f, axiom in axiom_lines}
+    assert len(calls) == len(set(calls)) <= len(distinct) == 9
+
+
 def test_transform_has_no_depth_limit():
     pr = r2_chain(5000)
     check_proof(pr)
@@ -471,3 +490,119 @@ def test_check_proof_rejection_messages(logic, lines, message):
         check_proof(HilbertProof(logic, lines))
     assert str(err.value) == message
     assert err.value.line == int(message.split(":")[0].split()[1]) - 1
+
+
+def _ax(axiom):
+    return {"axiom": axiom}
+
+
+def _by(rule, *lines):
+    return {"rule": rule, "from": list(lines)}
+
+
+# Proofs in which a bad line restates the formula object of an earlier line
+# that passed, with premises, axiom or references that do not hold.
+_REPLAYS = [
+    ("R1 with other premises",
+     [("p1 -> p1", _ax("A1")), ("~p1 -> ~p1", _ax("A1")),
+      ("(p1 -> p1) & (p1 -> p1)", _by("R1", 1, 1)),
+      ("(p1 -> p1) & (p1 -> p1)", _by("R1", 1, 2))],
+     "line 4: R1 yields (p1 -> p1) & (~p1 -> ~p1), line states (p1 -> p1) & (p1 -> p1)"),
+    ("R2 with other premises",
+     [("p1 -> p1", _ax("A1")), ("(p1 -> p1) -> (p1 -> p1)", _ax("A1")),
+      ("p1 -> p1", _by("R2", 1, 2)), ("p1 -> p1", _by("R2", 2, 2))],
+     "line 4: premises do not fit the shape of R2"),
+    ("axiom restated under another id",
+     [("p1 -> p1", _ax("A1")), ("p1 -> p1", _ax("A3"))],
+     "line 2: p1 -> p1 is not an instance of A3"),
+    ("axiom restated under an unavailable id",
+     [("(p1 & p2) -> p1", _ax("A2")), ("(p1 & p2) -> p1", _ax("A9"))],
+     "line 2: A9 is not available in BM"),
+    ("replay with a negative reference",
+     [("p1 -> p1", _ax("A1")), ("(p1 -> p1) & (p1 -> p1)", _by("R1", 1, 1)),
+      ("p1 -> p1", _ax("A1")), ("(p1 -> p1) & (p1 -> p1)", _by("R1", 1, -1))],
+     "line 4: premise reference -1 is not an earlier line"),
+    ("replay with a forward reference",
+     [("p1 -> p1", _ax("A1")), ("(p1 -> p1) & (p1 -> p1)", _by("R1", 1, 1)),
+      ("(p1 -> p1) & (p1 -> p1)", _by("R1", 1, 4)), ("p1 -> p1", _ax("A1"))],
+     "line 3: premise reference 4 is not an earlier line"),
+]
+
+
+@pytest.mark.parametrize("lines, message", [r[1:] for r in _REPLAYS],
+                         ids=[r[0] for r in _REPLAYS])
+def test_check_memo_rejects_restated_lines(lines, message):
+    doc = {"logic": "BM", "lines": [{"formula": text, "just": just}
+                                    for text, just in lines]}
+    shared = jsonio.proof_from_json(doc)
+    fresh = HilbertProof("BM", tuple(ProofLine(F(text), line.just)
+                                     for (text, _), line in zip(lines, shared.lines)))
+    for pr in (shared, fresh):
+        with pytest.raises(ProofCheckError) as err:
+            check_proof(pr)
+        assert str(err.value) == message
+        assert err.value.line == int(message.split(":")[0].split()[1]) - 1
+    # in the decoded proof, the bad line's formula is an earlier line's object
+    bad = shared.lines[err.value.line].formula
+    assert any(line.formula is bad for line in shared.lines[:err.value.line])
+
+
+def _node_ids(pr):
+    return {id(node) for line in pr.lines for _, node, _ in occurrences(line.formula)}
+
+
+def test_proof_documents_intern_their_subformulas():
+    rng = random.Random(127)
+    proofs = [random_proof(rng, logic, steps=rng.randint(2, 9))
+              for logic in ("BM", "B") for _ in range(30)]
+    proofs.append(transform_proof(reuse_proof("BM", F("p1 -> p1"), "A1", 4),
+                                  random_substitution(rng, "raw")))
+    for pr in proofs:
+        doc = jsonio.proof_to_json(pr)
+        first, second = jsonio.proof_from_json(doc), jsonio.proof_from_json(doc)
+        # the same trees as a parse per line
+        assert [line.formula for line in first.lines] == [
+            parse(line["formula"]) for line in doc["lines"]]
+        # one object per distinct subformula in the document
+        objects: dict = {}
+        for line in first.lines:
+            for _, node, _ in occurrences(line.formula):
+                assert objects.setdefault(render(node), node) is node
+        assert len(_node_ids(first)) == len(objects)
+        # each decode has its own table
+        assert not _node_ids(first) & _node_ids(second)
+    pii = jsonio.proof_from_json({"logic": "BM", "lines": [
+        {"formula": "(p1 -> p1) -> (p1 -> p1)", "just": {"axiom": "A1"}}]})
+    assert pii.lines[0].formula.left is pii.lines[0].formula.right
+    # without a table, parse builds fresh nodes
+    f = parse("(p1 -> p1) -> (p1 -> p1)")
+    assert f.left == f.right and f.left is not f.right
+    assert f.left.left is not f.left.right and f.left.left is not parse("p1")
+
+
+def test_proof_documents_parse_each_text_once(monkeypatch):
+    parsed, recalled = [], []
+    remember, recall = formula._remember, formula._recall
+
+    def remembering(whole, node, nodes):
+        parsed.append(whole)
+        remember(whole, node, nodes)
+
+    def recalling(text, pos, nodes):
+        node, after = recall(text, pos, nodes)
+        if node is not None:
+            recalled.append(text[pos:after])
+        return node, after
+
+    monkeypatch.setattr(formula, "_remember", remembering)
+    monkeypatch.setattr(formula, "_recall", recalling)
+    x = "(p1 & p2) -> (p1 & p2)"
+    pr = reuse_proof("BM", F(x), "A1", 4)
+    doc = jsonio.proof_to_json(pr)
+    assert [line["formula"] for line in doc["lines"][:3]] == [
+        x, f"({x}) & ({x})", f"(({x}) & ({x})) -> ({x})"]
+    assert jsonio.proof_from_json(doc) == pr
+    # 13 lines, 3 distinct texts, each parsed whole once; the second and
+    # third read the earlier lines they restate in parentheses as known
+    assert parsed == [line["formula"] for line in doc["lines"][:3]]
+    assert recalled == [f"({x})", f"({x})", f"(({x}) & ({x}))", f"({x})"]
