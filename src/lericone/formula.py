@@ -9,8 +9,8 @@ The text syntax is bounded by the interpreter's limit on integer string
 conversion (4,300 digits by default): ``parse`` and ``render`` reject a
 longer index with a ``ValueError``.  The parser is one precedence loop
 on an explicit stack, so parsing has no depth limit; ``render``, ``==``
-and ``hash`` still recurse, and fail a few hundred levels down.  Under the
-intern table ``jsonio.proof_from_json`` passes per document, equal
+and ``hash`` still recurse, and fail a few hundred levels down.  Every
+parse hash-conses per call or document (see ``_parse_from``): equal
 subformulas are one object, so ``==`` on them does not descend.
 
 Subformula occurrences are addressed by paths: tuples of child selectors,
@@ -125,7 +125,7 @@ def _recall(text: str, pos: int, nodes: dict) -> tuple:
     return None, pos
 
 
-def _parse_from(text: str, pos: int, nodes: dict | None = None) -> Formula:
+def _parse_from(text: str, pos: int, nodes: dict) -> Formula:
     """Parse ``text[pos:]`` by operator precedence over the grammar
 
         formula := unary (("&" | "|" | "->") unary)* ;
@@ -135,14 +135,14 @@ def _parse_from(text: str, pos: int, nodes: dict | None = None) -> Formula:
     explicit stack holds each pending ``~`` and ``(`` and each binary
     operator with its left operand, so nesting meets no recursion limit.
 
-    ``nodes``, if given, is an intern table shared by the texts of one
+    ``nodes`` is an intern table shared by the texts of one call or
     document: atoms key by index, other nodes by ``(type, id(child), ...)``,
     and each node is built once, so equal subformulas are one object.  The
     table holds every node it keys, so no id in it is reused while it lives.
     It also maps each text parsed whole to its formula, so a text that
     recurs, whole or as a parenthesised operand, is not parsed again.
     """
-    if nodes is not None and text[pos:] in nodes:
+    if text[pos:] in nodes:
         return nodes[text[pos:]]
     first = pos
     stack: list = []
@@ -153,7 +153,7 @@ def _parse_from(text: str, pos: int, nodes: dict | None = None) -> Formula:
             pos += 1
         ch = text[pos:pos + 1]
         if node is None:
-            if ch == "(" and nodes is not None:
+            if ch == "(":
                 node, pos = _recall(text, pos, nodes)
                 if node is not None:
                     continue
@@ -177,27 +177,20 @@ def _parse_from(text: str, pos: int, nodes: dict | None = None) -> Formula:
                                  ("fewer digits",)) from None
             if index < 1:
                 raise ParseError("atom index 0 is not allowed", start, ("index >= 1",))
-            node = Atom(index) if nodes is None else nodes.get(index)
-            if node is None:
-                node = nodes[index] = Atom(index)
+            node = nodes.get(index) or nodes.setdefault(index, Atom(index))
             continue
         while stack and stack[-1] == "~":
             stack.pop()
-            child = node
-            node = Neg(child) if nodes is None else nodes.get((Neg, id(child)))
-            if node is None:
-                node = nodes[Neg, id(child)] = Neg(child)
+            key = Neg, id(node)
+            node = nodes.get(key) or nodes.setdefault(key, Neg(node))
         op = "->" if text.startswith("->", pos) else ch
         prec, make = _BINARY.get(op, (0, None))
         # close the operators that bind at least as tightly; "->" waits
         # for its right operand to close another "->"
         while stack and stack[-1] != "(" and stack[-1][0] >= prec + (op == "->"):
             _, close, left = stack.pop()
-            right = node
-            node = (close(left, right) if nodes is None
-                    else nodes.get((close, id(left), id(right))))
-            if node is None:
-                node = nodes[close, id(left), id(right)] = close(left, right)
+            key = close, id(left), id(node)
+            node = nodes.get(key) or nodes.setdefault(key, close(left, node))
         if make is not None:
             stack.append((prec, make, node))
             pos += len(op)
@@ -210,35 +203,36 @@ def _parse_from(text: str, pos: int, nodes: dict | None = None) -> Formula:
         elif pos < end:
             raise ParseError(f"trailing input {text[pos:]!r}", pos)
         else:
-            if nodes is not None:
-                _remember(text[first:], node, nodes)
+            _remember(text[first:], node, nodes)
             return node
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; raises ParseError with offsets."""
-    return _parse_from(text, 0)
+    """Parse concrete syntax into a Formula, hash-consed with a table of its
+    own; raises ParseError with offsets."""
+    return _parse_from(text, 0, {})
 
 
 def parse_sequent(text: str) -> Sequent:
     """Parse ``A1, ..., An |- B``; a bare formula, or nothing before
     ``|-``, is a premise-free sequent.  An empty premise between commas is a
     ParseError, and every ParseError offset counts from the start of
-    ``text``."""
+    ``text``.  Premises and conclusion share one intern table."""
     turnstile = text.find("|-")
     if turnstile < 0:
         return Sequent((), parse(text))
     left = text[:turnstile]
     premises = []
+    nodes: dict = {}
     if left.strip():
         start = 0
         for part in left.split(","):
             end = start + len(part)
             if not part.strip():
                 raise ParseError("empty premise", end)
-            premises.append(_parse_from(text[:end], start))
+            premises.append(_parse_from(text[:end], start, nodes))
             start = end + 1
-    return Sequent(tuple(premises), _parse_from(text, turnstile + 2))
+    return Sequent(tuple(premises), _parse_from(text, turnstile + 2, nodes))
 
 
 # -- rendering ---------------------------------------------------------------

@@ -12,8 +12,9 @@ tree with closure witnesses at the leaves.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from reprlib import repr as _brief
 
-from .formula import _parse_from, parse, render
+from .formula import _parse_from, render
 from .hilbert import AxiomRef, HilbertProof, ProofLine, RuleRef, match_axiom
 from .relevance import SharingWitness
 from .semantics import Assignment, Verdict
@@ -49,19 +50,32 @@ def _entries_to_json(table, field: str, encode) -> list:
             for (seq, atom), value in sorted(table.entries.items())]
 
 
+def _typed(value, kind: type, rule: str):
+    """``value`` if its type is ``kind``, else a ValueError stating ``rule``
+    and quoting the value, abridged if long."""
+    if type(value) is not kind:
+        raise ValueError(f"{rule}, got {_brief(value)}")
+    return value
+
+
 def _text(value, noun: str) -> str:
     """``value`` if it is a string, else a ValueError naming the field."""
-    if type(value) is not str:
-        raise ValueError(f"{noun} must be strings, got {value!r}")
-    return value
+    return _typed(value, str, f"{noun} must be strings")
+
+
+def _formula_reader(noun: str):
+    """A parser for one document's ``noun`` fields, which must be strings;
+    they share one intern table, so a text that recurs is parsed once."""
+    nodes: dict = {}
+    return lambda value: _parse_from(_text(value, noun), 0, nodes)
 
 
 def _entries_from_json(entries, keying: str, field: str, decode) -> dict:
     """Inverse of :func:`_entries_to_json`; a missing ``seq`` is ε.  Entries
     repeating a key must agree, as ``seq.keyed_table`` asks of merged keys."""
     table: dict = {}
-    for e in entries:
-        atom = e["atom"]
+    for e in _typed(entries, list, "entries must be a list"):
+        atom = _typed(e, dict, "entries must be objects")["atom"]
         if type(atom) is not int or atom < 1:
             raise ValueError(f"atoms must be integers >= 1, got {atom!r}")
         key = atom if keying == "plain" else (_text(e.get("seq", ""), "sequences"), atom)
@@ -74,10 +88,11 @@ def _entries_from_json(entries, keying: str, field: str, decode) -> dict:
 def substitution_from_json(data) -> LericoneSubstitution:
     if isinstance(data, list):  # bare entry list: raw keying
         data = {"keying": "raw", "entries": data}
+    _typed(data, dict, "substitution tables must be objects or lists")
     with _decoding("substitution table"):
         keying = data.get("keying", "raw")
         table = _entries_from_json(data["entries"], keying, "image",
-                                   lambda image: parse(_text(image, "images")))
+                                   _formula_reader("images"))
         return LericoneSubstitution(table, keying=keying)
 
 
@@ -93,6 +108,7 @@ def _bit(x) -> int:
 
 
 def assignment_from_json(data) -> Assignment:
+    _typed(data, dict, "assignments must be objects")
     with _decoding("assignment"):
         keying = data.get("keying", "faithful" if data.get("faithful") else "raw")
         table = _entries_from_json(data["entries"], keying, "value", _bit)
@@ -150,14 +166,14 @@ def proof_to_json(pr: HilbertProof) -> dict:
 
 
 def proof_from_json(data) -> HilbertProof:
-    """The proof a document describes; its formulas share one intern table,
-    so equal subformulas within the document are one object, and a line
-    text that recurs, whole or in parentheses, is not parsed again."""
+    """The proof a document describes; its formulas share one intern table."""
     lines = []
-    nodes: dict = {}
+    formula = _formula_reader("formulas")
     with _decoding("proof"):
-        for entry in data["lines"]:
-            just = entry["just"]
+        for entry in _typed(_typed(data, dict, "proofs must be objects")["lines"],
+                            list, "lines must be a list"):
+            just = _typed(_typed(entry, dict, "proof lines must be objects")["just"],
+                          dict, "justifications must be objects")
             if "axiom" in just:
                 if type(just["axiom"]) is not str:
                     raise ValueError(f"axiom ids must be strings: {just['axiom']!r}")
@@ -166,12 +182,11 @@ def proof_from_json(data) -> HilbertProof:
                 refs = just["from"]
                 if type(just["rule"]) is not str:
                     raise ValueError(f"rule ids must be strings: {just['rule']!r}")
-                if not all(type(i) is int for i in refs):
+                if type(refs) is not list or not all(type(i) is int for i in refs):
                     raise ValueError(f"premise references must be line numbers: "
                                      f"{refs!r}")
                 ref = RuleRef(just["rule"], tuple(i - 1 for i in refs))
-            formula = _parse_from(_text(entry["formula"], "formulas"), 0, nodes)
-            lines.append(ProofLine(formula, ref))
+            lines.append(ProofLine(formula(entry["formula"]), ref))
         return HilbertProof(data["logic"], tuple(lines))
 
 

@@ -14,7 +14,9 @@ finitely many images differ from the atom itself, and a table of them,
 ``apply_lericone`` accepts anything with a ``lookup(seq, atom)`` method,
 which admits the two lazily-evaluated substitutions here: ``star``
 (composition, whose support need not be finite when a plain factor is
-involved) and ``godel_substitution`` (total injective atom coding).
+involved) and ``godel_substitution`` (total injective atom coding).  A
+lazy substitution needs only ``lookup`` and ``is_faithful`` (which
+``semantics.bullet`` reads); ``is_plain`` belongs to finite tables.
 
 ``t_of`` (peel one root conditional) and ``shift`` (graft a c-free
 context above the root) stay finite tables; both are identity outside
@@ -93,10 +95,6 @@ class _Composite:
 
     outer: object
     inner: object
-
-    @property
-    def is_plain(self) -> bool:
-        return self.outer.is_plain and self.inner.is_plain
 
     @property
     def is_faithful(self) -> bool:
@@ -197,7 +195,6 @@ def godel(seq: str, atom: int) -> int:
 class _GodelSubstitution:
     """Total atomic injective substitution backed by the prime coding."""
 
-    is_plain = False
     is_faithful = False
 
     def lookup(self, seq: str, atom: int) -> Formula:

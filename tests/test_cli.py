@@ -293,15 +293,61 @@ _ONE_LINE = {"logic": "BM", "lines": [{"formula": "p1 -> p1", "just": {"axiom": 
     (_ONE_LINE, {"keying": "faithful", "entries": [{"seq": ["c"], "atom": 1,
                                                     "image": "p2"}]},
      "sequences must be strings, got ['c']"),
+    # a container of the wrong kind is named where the decoder reads it
+    ({"logic": "BM", "lines": 5}, None, "lines must be a list, got 5"),
+    ({"logic": "BM", "lines": [5]}, None, "proof lines must be objects, got 5"),
+    ({"logic": "BM", "lines": [{"formula": "p1 -> p1", "just": 5}]}, None,
+     "justifications must be objects, got 5"),
+    ({"logic": "BM", "lines": [{"formula": "p1 -> p1",
+                                "just": {"rule": "R1", "from": 5}}]}, None,
+     "premise references must be line numbers: 5"),
+    (None, None, "proofs must be objects, got None"),
+    ([1, 2], None, "proofs must be objects, got [1, 2]"),
+    ("x", None, "proofs must be objects, got 'x'"),
+    (_ONE_LINE, {"keying": "raw", "entries": 5}, "entries must be a list, got 5"),
+    (_ONE_LINE, {"keying": "raw", "entries": [5]}, "entries must be objects, got 5"),
+    (_ONE_LINE, [5], "entries must be objects, got 5"),
+    (_ONE_LINE, None, "substitution tables must be objects or lists, got None"),
+    (_ONE_LINE, "x", "substitution tables must be objects or lists, got 'x'"),
 ])
 def test_decoders_name_the_field(tmp_path, capsys, proof, table, message):
     proof_file, table_file = tmp_path / "proof.json", tmp_path / "table.json"
     proof_file.write_text(json.dumps(proof))
-    argv = ["check-proof", str(proof_file)]
-    if table is not None:
-        table_file.write_text(json.dumps(table))
-        argv = ["transform-proof", str(proof_file), str(table_file)]
-    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    table_file.write_text(json.dumps(table))
+    if proof is _ONE_LINE:  # the table is the document under test
+        calls = [["transform-proof", str(proof_file), str(table_file)],
+                 ["substitute", "p1 -> p2", "--table", str(table_file)]]
+    else:
+        calls = [["check-proof", str(proof_file)]]
+    for argv in calls:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_no_decoder_message_speaks_for_the_interpreter(tmp_path, capsys):
+    from test_golden import _BAD_DOCS
+
+    proof, table = tmp_path / "proof.json", tmp_path / "table.json"
+    proof.write_text(json.dumps(_ONE_LINE))
+    table.write_text(json.dumps({"keying": "raw", "entries": []}))
+    bad = tmp_path / "bad.json"
+    for doc in _BAD_DOCS:
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        for argv in (["check-proof", bad], ["transform-proof", bad, table],
+                     ["transform-proof", proof, bad],
+                     ["substitute", "p1", "--table", bad]):
+            code, _, err = run(capsys, *map(str, argv))
+            assert code in (0, 2)
+            for wording in ("not subscriptable", "not iterable", "indices must be",
+                            "has no len()"):
+                assert wording not in err, (doc, argv[0], err)
+    # a long value is quoted abridged
+    bad.write_text(json.dumps({"logic": "BM", "lines": {str(i): i for i in range(10**4)}}))
+    code, _, err = run(capsys, "check-proof", str(bad))
+    assert code == 2 and err.startswith("error: lines must be a list, got {") and len(err) < 80
+    # a bare entry list is a raw table, and an empty one is the identity
+    bad.write_text("[]")
+    assert run(capsys, "substitute", "p1 -> p2", "--table", str(bad)) == (
+        0, "p1 -> p2\n", "")
 
 
 def test_deep_formula_exits_2(capsys):

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from lericone import (And, Imp, Neg, Sequent, apply_lericone, check_proof,
-                      decide, match_axiom, parse, render, transform_proof,
-                      LericoneSubstitution)
+                      decide, match_axiom, parse, parse_sequent, render,
+                      transform_proof, LericoneSubstitution)
 from lericone import formula, hilbert, jsonio
 from lericone.hilbert import (AxiomRef, HilbertProof, ProofCheckError,
                               ProofLine, RuleRef)
@@ -547,8 +547,12 @@ def test_check_memo_rejects_restated_lines(lines, message):
     assert any(line.formula is bad for line in shared.lines[:err.value.line])
 
 
+def _formula_ids(f):
+    return {id(node) for _, node, _ in occurrences(f)}
+
+
 def _node_ids(pr):
-    return {id(node) for line in pr.lines for _, node, _ in occurrences(line.formula)}
+    return {i for line in pr.lines for i in _formula_ids(line.formula)}
 
 
 def test_proof_documents_intern_their_subformulas():
@@ -574,10 +578,25 @@ def test_proof_documents_intern_their_subformulas():
     pii = jsonio.proof_from_json({"logic": "BM", "lines": [
         {"formula": "(p1 -> p1) -> (p1 -> p1)", "just": {"axiom": "A1"}}]})
     assert pii.lines[0].formula.left is pii.lines[0].formula.right
-    # without a table, parse builds fresh nodes
+    # one parse call is one table: equal subformulas are one object
     f = parse("(p1 -> p1) -> (p1 -> p1)")
-    assert f.left == f.right and f.left is not f.right
-    assert f.left.left is not f.left.right and f.left.left is not parse("p1")
+    assert f.left is f.right and f.left.left is f.left.right
+    # so is one parse_sequent call, across premises and the conclusion
+    s = parse_sequent("p1 -> p2, ~(p1 -> p2) |- p1 -> p2")
+    assert s.premises[0] is s.premises[1].child is s.conclusion
+    # two calls share no node
+    g = parse("(p1 -> p1) -> (p1 -> p1)")
+    assert g == f and not _formula_ids(f) & _formula_ids(g)
+    assert not _formula_ids(s.conclusion) & _formula_ids(
+        parse_sequent("p1 -> p2 |- p1 -> p2").conclusion)
+    # a substitution table is one document: its images share one table
+    doc = {"keying": "raw", "entries": [
+        {"seq": "c", "atom": 1, "image": "p2 & p3"},
+        {"seq": "lc", "atom": 1, "image": "~(p2 & p3)"}]}
+    first, second = jsonio.substitution_from_json(doc), jsonio.substitution_from_json(doc)
+    assert first.entries["c", 1] is first.entries["lc", 1].child
+    assert first == second and not _formula_ids(first.entries["c", 1]) & \
+        _formula_ids(second.entries["c", 1])
 
 
 def test_proof_documents_parse_each_text_once(monkeypatch):
@@ -594,11 +613,12 @@ def test_proof_documents_parse_each_text_once(monkeypatch):
             recalled.append(text[pos:after])
         return node, after
 
-    monkeypatch.setattr(formula, "_remember", remembering)
-    monkeypatch.setattr(formula, "_recall", recalling)
     x = "(p1 & p2) -> (p1 & p2)"
     pr = reuse_proof("BM", F(x), "A1", 4)
     doc = jsonio.proof_to_json(pr)
+    # every parse goes through the table, so only the decode is watched
+    monkeypatch.setattr(formula, "_remember", remembering)
+    monkeypatch.setattr(formula, "_recall", recalling)
     assert [line["formula"] for line in doc["lines"][:3]] == [
         x, f"({x}) & ({x})", f"(({x}) & ({x})) -> ({x})"]
     assert jsonio.proof_from_json(doc) == pr
