@@ -126,12 +126,10 @@ def cmd_prove(args) -> int:
 
 def cmd_substitute(args) -> int:
     f = parse(args.formula)
-    if args.godel:
-        sub = godel_substitution()
-    elif args.table:
-        sub = jsonio.substitution_from_json(_load_json(args.table))
-    else:
+    if args.godel == bool(args.table):
         raise ValueError("supply --godel or --table FILE")
+    sub = (godel_substitution() if args.godel
+           else jsonio.substitution_from_json(_load_json(args.table)))
     image = render(apply_lericone(sub, "", f))
     return _emit(args, EXIT_VALID, {"input": render(f), "image": image}, [image])
 

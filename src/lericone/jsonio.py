@@ -134,27 +134,25 @@ def renaming_to_json(table: RenamingTable) -> dict:
                         for (seq, atom), fresh in sorted(table.forward.items())]}
 
 
-def _renderer():
-    """``render`` with a memo keyed by object identity, for one document
-    whose formulas all stay alive while it is encoded."""
-    texts: dict = {}
+def _by_identity(fn):
+    """``fn`` of one argument with a memo keyed by object identity, for one
+    document whose objects all stay alive while it is encoded."""
+    memo: dict = {}
 
-    def text(f) -> str:
-        if id(f) not in texts:
-            texts[id(f)] = render(f)
-        return texts[id(f)]
-    return text
+    def memoised(x):
+        if id(x) not in memo:
+            memo[id(x)] = fn(x)
+        return memo[id(x)]
+    return memoised
 
 
 def proof_to_json(pr: HilbertProof) -> dict:
-    text = _renderer()
-    matches: dict = {}  # id(formula) -> match_axiom's result
+    text = _by_identity(render)
+    match = _by_identity(lambda f: match_axiom(f, pr.logic))
     lines = []
     for line in pr.lines:
         if isinstance(line.just, AxiomRef):
-            if id(line.formula) not in matches:
-                matches[id(line.formula)] = match_axiom(line.formula, pr.logic)
-            matched = matches[id(line.formula)]
+            matched = match(line.formula)
             just = {"axiom": line.just.axiom}
             if matched and matched[0] == line.just.axiom:
                 just["bind"] = {name: text(g) for name, g in matched[1].items()}
@@ -192,7 +190,7 @@ def proof_from_json(data) -> HilbertProof:
 
 def tableau_proof_to_json(proof: TableauProof) -> dict:
     """Nested rule-application tree; splits carry one subtree per branch."""
-    text = _renderer()
+    text = _by_identity(render)
 
     def triple(t: Triple) -> dict:
         return {"seq": t.seq, "sign": t.sign, "formula": text(t.formula)}

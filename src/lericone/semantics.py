@@ -125,16 +125,11 @@ def _column_masks(width: int) -> tuple:
     integers: bit r of column i is key i's value in row r, with the first
     key as the most significant bit of the row index."""
     total = 1 << width
-    full = (1 << total) - 1
+    full = column = (1 << total) - 1
     columns = []
-    for i in range(width):
-        step = 1 << (width - 1 - i)
-        block = ((1 << step) - 1) << step
-        length = 2 * step
-        while length < total:  # double the pattern up to the full row count
-            block |= block << length
-            length *= 2
-        columns.append(block)
+    for i in range(1, width + 1):  # halve the period of the previous column
+        column ^= column >> (total >> i)
+        columns.append(column)
     return columns, full
 
 

@@ -163,16 +163,11 @@ def c_transform(seq: str) -> str:
 def reduct(seq: str) -> str:
     """The unique nn-free word reached by cancelling adjacent n pairs.
 
-    Single stack pass; cancellation is confluent, so the order in which
-    pairs are removed does not matter.
+    Only ``n`` cancels, so each maximal run of ``n`` keeps its parity and
+    no two runs ever merge: one left-to-right pass of ``replace`` reaches
+    the normal form.
     """
-    out: list = []
-    for ch in seq:
-        if ch == "n" and out and out[-1] == "n":
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    return seq.replace("nn", "")
 
 
 def equivalent(x: str, y: str) -> bool:
@@ -189,9 +184,7 @@ def faithful_key(seq: str) -> str:
     root conditional, where the c key is consulted instead).
     """
     red = reduct(seq)
-    if red.endswith("c") or not red or red[-1] == "n":
-        return red
-    return red[:-1] + "c"
+    return red[:-1] + "c" if red[-1:] in ("l", "r") else red
 
 
 _MODE_KEYING = {"plain": "raw", "faithful": "faithful"}
@@ -287,10 +280,9 @@ class KeyedTable:
 def polarity(seq: str) -> str:
     """``"positive"`` or ``"negative"``; n and l flip, r preserves.
 
-    Flips commute, so folding in either direction gives the same parity.
-    Only defined on c-free input.
+    Flips commute, so the sign is the parity of the n and l count.  Only
+    defined on c-free input.
     """
     if seq.endswith("c"):
         raise ValueError(f"polarity is defined on c-free sequences: {seq!r}")
-    flips = sum(1 for ch in seq if ch in "nl")
-    return "positive" if flips % 2 == 0 else "negative"
+    return "positive" if (seq.count("n") + seq.count("l")) % 2 == 0 else "negative"

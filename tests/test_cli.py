@@ -442,6 +442,8 @@ _P1_CERTIFICATE = {"default": 1, "faithful": False, "keying": "raw", "entries": 
             "skeleton": {"status": "valid", "method": "skeleton"}}}, indent=2)
      + "\nerror: methods disagree; see diagnostic dump\n"),
     (["prove", "p1, , p2 |- p1"], 2, "", "error: at offset 4: empty premise\n"),
+    (["substitute", "p1", "--godel", "--table", "missing.json"], 2, "",
+     "error: supply --godel or --table FILE\n"),
 ])
 def test_exact_output(tmp_path, capsys, monkeypatch, argv, code, out, err):
     """Full stdout, stderr and exit code.  A dict in argv is written to a

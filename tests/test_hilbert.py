@@ -371,9 +371,10 @@ def test_json_encoders_render_as_per_line_encoding(monkeypatch):
                       "plain" if pr.logic == "BM" else "faithful").proof
                 for pr in proofs]
     encoded = [jsonio.tableau_proof_to_json(t) for t in tableaux]
-    # the same tableau encoder with one render call per formula occurrence
-    monkeypatch.setattr(jsonio, "_renderer", lambda: render)
+    # the same encoders with one call per formula occurrence: no identity memo
+    monkeypatch.setattr(jsonio, "_by_identity", lambda fn: fn)
     assert [jsonio.tableau_proof_to_json(t) for t in tableaux] == encoded
+    assert [jsonio.proof_to_json(pr) for pr in proofs] == expected
 
 
 def test_generated_conclusions_are_valid_in_matching_mode():

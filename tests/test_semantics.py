@@ -325,6 +325,17 @@ def test_enumeration_memory_is_flat_in_the_cap(keys):
     assert peak < 4 << 20  # 2^24 rows as whole packed columns peak near 62 MiB
 
 
+def test_column_masks_match_their_definition():
+    # bit r of column i is bit w-1-i of r, and full has a bit for every row
+    for w in range(17):
+        columns, full = semantics._column_masks(w)
+        assert full == (1 << (1 << w)) - 1
+        assert len(columns) == w
+        for i, column in enumerate(columns):
+            bits = "".join(str(r >> (w - 1 - i) & 1) for r in reversed(range(1 << w)))
+            assert column == int(bits, 2)
+
+
 def block_loop(s, keys, column, cap):
     """Every block in binary order until one falsifies, with no pruning;
     oracle for the pruned walk of ``semantics._first_falsifier``."""

@@ -238,6 +238,8 @@ def test_faithful_key():
         assert faithful_key(word) == faithful_key(reduct(word))
         if word.endswith("c"):
             assert faithful_key(word) == reduct(word)
+    for word in words_up_to(6, with_c=False):
+        assert faithful_key(word) == c_transform(reduct(word))
 
 
 def test_lericone_seq_invariant_holds_on_annotations():
