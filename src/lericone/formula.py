@@ -2,7 +2,8 @@
 
 Formulas are immutable values built from atoms ``p1, p2, ...`` (arbitrary
 precision indices, >= 1) with negation ``~``, conjunction ``&``, disjunction
-``|`` and the conditional ``->``.  Precedence is ``~ > & > | > ->``, from one
+``|`` and the conditional ``->``, in slots on :class:`Record`, the base of
+every record in the package.  Precedence is ``~ > & > | > ->``, from one
 table (``_BINARY``) that parsing, rendering and ``lericone.generate`` share;
 the conditional is right-associative, the lattice connectives left-associative.
 The text syntax is bounded by the interpreter's limit on integer string
@@ -11,7 +12,8 @@ longer index with a ``ValueError``.  The parser is one precedence loop
 on an explicit stack, so parsing has no depth limit; ``render``, ``==``
 and ``hash`` still recurse, and fail a few hundred levels down.  Every
 parse hash-conses per call or document (see ``_parse_from``): equal
-subformulas are one object, so ``==`` on them does not descend.
+subformulas are one object, and ``==`` compares children as tuples,
+which short-cut on identical items, so on them it does not descend.
 
 Subformula occurrences are addressed by paths: tuples of child selectors,
 ``"only"`` for the child of a negation and ``"left"``/``"right"`` for the
@@ -24,7 +26,7 @@ so the functions here import those two when called.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from types import FunctionType
 from typing import Iterator, Union
 
 __all__ = [
@@ -35,36 +37,115 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
-    index: int
+class Record:
+    """Base of the package's records: immutable values in slots.
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"atom index must be >= 1, got {self.index}")
+    A subclass names its fields in constructor order in ``_fields`` and
+    ``__slots__``, and its ``__init__`` sets them with
+    ``object.__setattr__``; a loop over ``_fields`` would make building
+    a record, which most calls do dozens of times, about 60% slower.
+    ``==`` and ``hash`` go by the field tuple, ``repr`` reads
+    ``Name(field=value, ...)``, assignment and ``del`` raise
+    ``AttributeError``, and pickle and copy rebuild through the
+    constructor.  The formula nodes and ``tableau.Triple``, hashed and
+    compared in every call, write ``==`` and ``hash`` out as well.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _tuple(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._tuple() == other._tuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __setattr__(self, name: str, *_value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._tuple()
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "Formula"
+class Atom(Record):
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int) -> None:
+        if index < 1:
+            raise ValueError(f"atom index must be >= 1, got {index}")
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Neg(Record):
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child: "Formula") -> None:
+        object.__setattr__(self, "child", child)
+
+    def __eq__(self, other):
+        # a tuple compares identical items without calling their __eq__
+        if other.__class__ is self.__class__:
+            return (self.child,) == (other.child,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.child,))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class _Binary(Record):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula") -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+    def __init_subclass__(cls) -> None:
+        # each connective runs its own copy of these methods: the
+        # interpreter specialises attribute reads per code object for one
+        # class, and a copy shared by three classes hashes 10% slower
+        for name in ("__init__", "__eq__", "__hash__"):
+            method = vars(_Binary)[name]
+            setattr(cls, name, FunctionType(method.__code__.replace(),
+                                            method.__globals__, name))
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Imp(_Binary):
+    __slots__ = ()
 
 
 Formula = Union[Atom, Neg, And, Or, Imp]
@@ -72,12 +153,14 @@ Formula = Union[Atom, Neg, And, Or, Imp]
 OccurrencePath = tuple  # of "only" | "left" | "right"
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Record):
     """Finitely many premises and one conclusion."""
 
-    premises: tuple
-    conclusion: Formula
+    __slots__ = _fields = ("premises", "conclusion")
+
+    def __init__(self, premises: tuple, conclusion: Formula) -> None:
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "conclusion", conclusion)
 
     @property
     def formulas(self) -> tuple:

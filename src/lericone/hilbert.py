@@ -31,10 +31,9 @@ a replayed line restates the formula objects of the block it copies, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .formula import And, Atom, Formula, Imp, Neg, Or, render
+from .formula import And, Atom, Formula, Imp, Neg, Or, Record, render
 from .substitution import LericoneSubstitution, apply_lericone, shift, t_of
 
 __all__ = [
@@ -110,33 +109,44 @@ def _logic(name) -> _Logic:
         raise ValueError(f"unknown logic {name!r}") from None
 
 
-@dataclass(frozen=True)
-class AxiomRef:
+class AxiomRef(Record):
+    __slots__ = _fields = ("axiom",)
     axiom: str  # "A1" .. "A9"
 
+    def __init__(self, axiom: str) -> None:
+        object.__setattr__(self, "axiom", axiom)
 
-@dataclass(frozen=True)
-class RuleRef:
+
+class RuleRef(Record):
+    __slots__ = _fields = ("rule", "premises")
     rule: str  # "R1" .. "R5"
     premises: tuple  # 0-based indices of earlier lines
 
+    def __init__(self, rule: str, premises: tuple) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
 
-@dataclass(frozen=True)
-class ProofLine:
-    formula: Formula
+
+class ProofLine(Record):
+    __slots__ = _fields = ("formula", "just")
     just: object  # AxiomRef | RuleRef
 
+    def __init__(self, formula: Formula, just) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "just", just)
 
-@dataclass(frozen=True)
-class HilbertProof:
+
+class HilbertProof(Record):
+    __slots__ = _fields = ("logic", "lines")
     logic: str  # "BM" | "B"
-    lines: tuple
 
-    def __post_init__(self) -> None:
-        _logic(self.logic)
-        object.__setattr__(self, "lines", tuple(self.lines))
-        if not self.lines:
+    def __init__(self, logic: str, lines: tuple) -> None:
+        _logic(logic)
+        lines = tuple(lines)
+        if not lines:
             raise ValueError("a proof needs at least one line")
+        object.__setattr__(self, "logic", logic)
+        object.__setattr__(self, "lines", lines)
 
 
 def conclusion(pr: HilbertProof) -> Formula:

@@ -14,10 +14,9 @@ occurrence in the implication itself, in the mode's keying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Atom, Formula, Imp, atoms_of, render
+from .formula import Atom, Formula, Imp, Record, atoms_of, render
 from .semantics import Assignment, evaluate
 from .seq import keying_of, occurrences, polarity, table_key
 
@@ -27,13 +26,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SharingWitness:
-    atom: int
+class SharingWitness(Record):
+    __slots__ = _fields = ("atom", "antecedent_path", "consequent_path", "sequence", "mode")
     antecedent_path: tuple  # path inside the implication, starts with "left"
     consequent_path: tuple  # starts with "right"
     sequence: str  # common sequence; faithful mode: the common reduct
-    mode: str = "plain"
+
+    def __init__(self, atom: int, antecedent_path: tuple, consequent_path: tuple,
+                 sequence: str, mode: str = "plain") -> None:
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "antecedent_path", antecedent_path)
+        object.__setattr__(self, "consequent_path", consequent_path)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "mode", mode)
 
 
 def shares_atom(a: Formula, b: Formula) -> Optional[int]:

@@ -32,11 +32,10 @@ deciders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import and_, or_
 from typing import Mapping, Optional
 
-from .formula import Formula, Sequent, atoms_of
+from .formula import Formula, Record, Sequent, atoms_of
 from .seq import KeyedTable, fold, keying_of, table_key
 from .substitution import skeletonize
 
@@ -56,19 +55,21 @@ class CapacityError(Exception):
     blocks, so the cap bounds time (doubling per key), not memory."""
 
 
-@dataclass(frozen=True)
 class Assignment(KeyedTable):
     """Finite (sequence, atom) -> bit table with a declared default bit."""
 
+    __slots__ = _fields = ("entries", "default", "keying")
     entries: Mapping  # (seq, atom) -> bit; plain keying: atom -> bit
-    default: int = 0
-    keying: str = "raw"  # "raw" | "faithful" | "plain"
+    keying: str  # "raw" | "faithful" | "plain"
 
-    def __post_init__(self) -> None:
-        if self.default not in (0, 1):
+    def __init__(self, entries: Mapping, default: int = 0, keying: str = "raw") -> None:
+        if default not in (0, 1):
             raise ValueError("default must be a bit")
-        if any(bit not in (0, 1) for bit in self.entries.values()):
+        if any(bit not in (0, 1) for bit in entries.values()):
             raise ValueError("assignment values must be bits")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "keying", keying)
         self._key_entries("bits")
 
     def _missing(self, _atom: int) -> int:
@@ -76,11 +77,16 @@ class Assignment(KeyedTable):
         return self.default
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = _fields = ("status", "countermodel", "method")
     status: str  # "valid" | "invalid"
-    countermodel: Optional[Assignment]
     method: str  # "brute" | "skeleton" | "tableau" | "classical"
+
+    def __init__(self, status: str, countermodel: Optional[Assignment],
+                 method: str) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "countermodel", countermodel)
+        object.__setattr__(self, "method", method)
 
     @property
     def valid(self) -> bool:

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .formula import Atom, Formula, Imp, Neg, OccurrencePath, Or, PathError
+from .formula import (Atom, Formula, Imp, Neg, OccurrencePath, Or, PathError,
+                      Record)
 
 __all__ = [
     "SYMBOLS", "validate_seq", "children", "fold", "occurrences", "locate",
@@ -249,7 +250,7 @@ def keyed_table(entries: Mapping, keying: str, noun: str) -> dict:
     return table
 
 
-class KeyedTable:
+class KeyedTable(Record):
     """Lookup shared by assignments and substitutions.
 
     A subclass has ``entries`` and ``keying`` fields, calls
@@ -257,6 +258,8 @@ class KeyedTable:
     ``_missing(atom)``.  The table is immutable, so ``lookup`` normalises
     each distinct (sequence, atom) once and remembers the value.
     """
+
+    __slots__ = ("_key", "_values")
 
     def _key_entries(self, noun: str) -> None:
         object.__setattr__(self, "entries",

@@ -25,10 +25,9 @@ keys ending in c, where their behaviour is unconstrained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .formula import And, Atom, Formula, Imp, Neg, Or, Sequent
+from .formula import And, Atom, Formula, Imp, Neg, Or, Record, Sequent
 from .seq import (KeyedTable, fold, keying_of, reduct, table_key,
                   validate_seq)
 
@@ -39,20 +38,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LericoneSubstitution(KeyedTable):
     """Finite (sequence, atom) -> formula table with identity default."""
 
+    __slots__ = ("entries", "keying", "_hash")
+    _fields = ("entries", "keying")
     entries: Mapping  # (seq, atom) -> Formula; plain keying: atom -> Formula
-    keying: str = "raw"  # "raw" | "faithful" | "plain"
+    keying: str  # "raw" | "faithful" | "plain"
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Mapping, keying: str = "raw") -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "keying", keying)
+        object.__setattr__(self, "_hash", None)
         self._key_entries("images")
 
     def __hash__(self) -> int:
         # by value, as equality compares; kept from the first use, so a table
         # whose images are too deep to hash still applies
-        if "_hash" not in vars(self):
+        if self._hash is None:
             object.__setattr__(self, "_hash",
                                hash((self.keying, frozenset(self.entries.items()))))
         return self._hash
@@ -89,12 +92,14 @@ def apply_lericone(s, seq: str, f: Formula) -> Formula:
     return fold(f, seq, s.lookup, Neg, And, Or, Imp)
 
 
-@dataclass(frozen=True)
-class _Composite:
+class _Composite(Record):
     """Lazy composition: lookup(x, p) = outer(x, inner(x, p))."""
 
-    outer: object
-    inner: object
+    __slots__ = _fields = ("outer", "inner")
+
+    def __init__(self, outer, inner) -> None:
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
 
     @property
     def is_faithful(self) -> bool:
@@ -205,18 +210,20 @@ def godel_substitution() -> _GodelSubstitution:
     return _GodelSubstitution()
 
 
-@dataclass(frozen=True)
-class RenamingTable:
+class RenamingTable(Record):
     """Injective map from (sequence, atom) keys to fresh atom indices."""
 
+    __slots__ = _fields = ("forward", "mode")
     forward: Mapping  # (seq, atom) -> int
-    mode: str = "plain"  # "plain" | "faithful": faithful keys are normalised
+    mode: str  # "plain" | "faithful": faithful keys are normalised
 
-    def __post_init__(self) -> None:
-        keying_of(self.mode)  # rejects an unknown mode
-        images = list(self.forward.values())
+    def __init__(self, forward: Mapping, mode: str = "plain") -> None:
+        keying_of(mode)  # rejects an unknown mode
+        images = list(forward.values())
         if len(images) != len(set(images)):
             raise ValueError("renaming table is not injective")
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "mode", mode)
 
     def as_substitution(self) -> LericoneSubstitution:
         return LericoneSubstitution(

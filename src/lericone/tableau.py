@@ -22,10 +22,9 @@ determines the countermodel.  :func:`saturate` expands every branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .formula import And, Atom, Formula, Imp, Neg, Or, Sequent
+from .formula import And, Atom, Formula, Imp, Neg, Or, Record, Sequent
 from .semantics import Assignment, Verdict, falsifies
 from .seq import children, keying_of, table_key
 
@@ -39,30 +38,61 @@ __all__ = [
 _FAITHFUL_KEY = table_key("faithful")
 
 
-@dataclass(frozen=True)
-class Triple:
-    seq: str
-    sign: int
-    formula: Formula
+class Triple(Record):
+    __slots__ = _fields = ("seq", "sign", "formula")
+
+    def __init__(self, seq: str, sign: int, formula: Formula) -> None:
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "formula", formula)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.seq, self.sign, self.formula)
+                    == (other.seq, other.sign, other.formula))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.seq, self.sign, self.formula))
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
-    positive: Triple
-    negative: Triple
-    common_key: Optional[str] = None  # faithful mode: shared faithful key
+class ClosureWitness(Record):
+    __slots__ = _fields = ("positive", "negative", "common_key")
+    common_key: Optional[str]  # faithful mode: shared faithful key
+
+    def __init__(self, positive: Triple, negative: Triple,
+                 common_key: Optional[str] = None) -> None:
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "common_key", common_key)
 
 
-@dataclass
-class Branch:
+class _State(Record):
+    """A record that expansion updates in place: mutable and unhashable,
+    compared by value like every record."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class Branch(_State):
     """One branch: ordered triples, expansion bookkeeping, closure state."""
 
-    ident: int
-    triples: list = field(default_factory=list)
-    members: set = field(default_factory=set)
-    processed: int = 0  # triples below this index have been expanded
-    closed: Optional[ClosureWitness] = None
-    _by_key: dict = field(default_factory=dict)  # ((key_seq, formula), sign) -> Triple
+    __slots__ = _fields = ("ident", "triples", "members", "processed", "closed", "_by_key")
+
+    def __init__(self, ident: int, triples: Optional[list] = None,
+                 members: Optional[set] = None, processed: int = 0,
+                 closed: Optional[ClosureWitness] = None,
+                 _by_key: Optional[dict] = None) -> None:
+        self.ident = ident
+        self.triples = [] if triples is None else triples
+        self.members = set() if members is None else members
+        self.processed = processed  # triples below this index have been expanded
+        self.closed = closed
+        # ((key_seq, formula), sign) -> Triple
+        self._by_key = {} if _by_key is None else _by_key
 
     def clone(self, new_ident: int) -> "Branch":
         child = Branch(new_ident, list(self.triples), set(self.members),
@@ -97,41 +127,52 @@ class Branch:
         return self.closed is None
 
 
-@dataclass
-class Tableau:
-    sequent: Sequent
-    mode: str
-    branches: list
-    next_ident: int = 0
-    steps: list = field(default_factory=list)
-    key_of: object = field(init=False, repr=False)  # the mode's closure key
+class Tableau(_State):
+    __slots__ = ("sequent", "mode", "branches", "next_ident", "steps", "key_of")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        self.key_of = table_key(keying_of(self.mode))
+    def __init__(self, sequent: Sequent, mode: str, branches: list,
+                 next_ident: int = 0, steps: Optional[list] = None) -> None:
+        self.sequent = sequent
+        self.mode = mode
+        self.branches = branches
+        self.next_ident = next_ident
+        self.steps = [] if steps is None else steps
+        self.key_of = table_key(keying_of(mode))  # the mode's closure key
 
 
-@dataclass(frozen=True)
-class RuleApplication:
-    branch: int
-    triple: Triple
-    rule: str
+class RuleApplication(Record):
+    __slots__ = _fields = ("branch", "triple", "rule", "results")
     results: tuple  # (branch id, added triples) per resulting branch
 
+    def __init__(self, branch: int, triple: Triple, rule: str, results: tuple) -> None:
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "results", results)
 
-@dataclass(frozen=True)
-class TableauProof:
-    sequent: Sequent
-    mode: str
-    steps: tuple
+
+class TableauProof(Record):
+    __slots__ = _fields = ("sequent", "mode", "steps", "witnesses")
     witnesses: tuple  # (branch id, ClosureWitness) in closing order
 
+    def __init__(self, sequent: Sequent, mode: str, steps: tuple, witnesses: tuple) -> None:
+        object.__setattr__(self, "sequent", sequent)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "witnesses", witnesses)
 
-@dataclass(frozen=True)
-class TableauResult:
+
+class TableauResult(Record):
+    __slots__ = _fields = ("status", "proof", "countermodel", "tableau")
     status: str  # "valid" | "invalid"
-    proof: Optional[TableauProof]
-    countermodel: Optional[Assignment]
-    tableau: Tableau
+
+    def __init__(self, status: str, proof: Optional[TableauProof],
+                 countermodel: Optional[Assignment], tableau: Tableau) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "proof", proof)
+        object.__setattr__(self, "countermodel", countermodel)
+        object.__setattr__(self, "tableau", tableau)
 
     def verdict(self) -> Verdict:
         return Verdict(self.status, self.countermodel, "tableau")

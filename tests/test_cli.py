@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -633,3 +636,15 @@ def test_every_command_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsy
         return
     assert code in (0, 1, 2), argv
     assert code == 2 or out, argv
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """Every CLI call starts a process that imports the package; records
+    are built without ``dataclasses``, so it and the modules it imports
+    stay unloaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lericone.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

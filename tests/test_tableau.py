@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -15,6 +14,12 @@ from conftest import F
 
 def formula_sequent(text):
     return Sequent((), parse(text))
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with the named fields changed."""
+    return type(record)(**{field: changes.pop(field, getattr(record, field))
+                           for field in record._fields}, **changes)
 
 
 def test_initial_tableau_examples():
